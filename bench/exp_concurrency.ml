@@ -122,7 +122,6 @@ let run () =
   (* --- quota-aware admission --------------------------------------- *)
   (* Tight admission (1 slot): a late-arriving query that declares a
      cost quota is admitted ahead of earlier unbounded arrivals. *)
-  let quota_cfg = { R.default_config with R.cost_quota = Some 1.0e9 } in
   Bench_common.flush_pool db;
   let sched =
     S.create ~config:{ S.default_config with S.max_inflight = 1; record_events = true } db
@@ -130,8 +129,8 @@ let run () =
   let subs =
     List.mapi
       (fun i sp ->
-        let config = if i = List.length specs - 1 then Some quota_cfg else None in
-        S.submit sched ~label:sp.Traffic.label ?config ?limit:sp.Traffic.limit table
+        let quota = if i = List.length specs - 1 then Some 1.0e9 else None in
+        S.submit sched ~label:sp.Traffic.label ?quota ?limit:sp.Traffic.limit table
           (request_of sp))
       specs
   in

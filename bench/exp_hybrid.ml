@@ -4,9 +4,9 @@
    new strategies no bespoke machine implements — here an Fscan that
    falls ORELSE back to a fresh Tscan on the first fault that reaches
    it, [distinct]-guarded against redelivery — and (2) is pure glue:
-   identity-law wraps (limit ∞, a never-firing abandon_if, a one-sided
-   race, a never-firing preempt) charge nothing, because combinators
-   never touch blocks or meters.  This experiment measures both:
+   identity-law wraps (limit ∞, two one-sided races, a never-firing
+   preempt) charge nothing, because combinators never touch blocks or
+   meters.  This experiment measures both:
 
    - clean run: the hybrid answers the oracle row set at Fscan cost;
    - fault sweep: transient index faults trip the ORELSE switch, the
@@ -120,12 +120,14 @@ let wrapped_tscan f =
   drain_tactic m
     Tactic.(
       limit max_int
-        (abandon_if
-           (fun () -> None)
-           (race
-              ~choose:(fun () -> `Left)
-              ~left:(preempt (fun () -> None) (fun () -> Tscan.step t))
-              ~right:halt)))
+        (race
+           ~choose:(fun () -> `Right)
+           ~left:halt
+           ~right:
+             (race
+                ~choose:(fun () -> `Left)
+                ~left:(preempt (fun () -> None) (fun () -> Tscan.step t))
+                ~right:halt)))
 
 let with_injector f plan body =
   Buffer_pool.flush f.pool;

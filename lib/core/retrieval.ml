@@ -23,8 +23,8 @@ type config = {
           foreground Fscan) — the scheduler's graceful-degradation
           rung.  Tactics whose background is the sole row source are
           unaffected.  Rows and order are invariant *)
-  cost_quota : float option;
-      (** per-query cost ceiling, checked at quantum boundaries *)
+  deadline : float option;
+      (** total charged-cost bound, checked before every quantum *)
   feedback_rate : float;
       (** learning rate for the table's cardinality-feedback store
           (DESIGN.md §13).  0. (the default) disables the loop
@@ -48,7 +48,7 @@ let default_config =
     retry_limit = 8;
     batch_budget = 0.0;
     bgr_enabled = true;
-    cost_quota = None;
+    deadline = None;
     feedback_rate = 0.0;
     metrics = None;
   }
@@ -92,17 +92,13 @@ let tactic_to_string = function
    turns anything but [Completed] into a reported error. *)
 type status =
   | Completed
-  | Cancelled_quota of { spent : float; quota : float }
   | Timed_out of { spent : float; deadline : float }
-      (** a scheduler-imposed cost deadline cancelled the session at a
-          grant boundary; delivered rows stand *)
+      (** charged cost reached [config.deadline]; delivered rows stand *)
   | Aborted of { fault : string }
       (** the heap itself was unreadable; no degradation path exists *)
 
 let status_to_string = function
   | Completed -> "completed"
-  | Cancelled_quota { spent; quota } ->
-      Printf.sprintf "cancelled: cost quota exceeded (%.1f of %.1f)" spent quota
   | Timed_out { spent; deadline } ->
       Printf.sprintf "timed out: cost deadline exceeded (%.1f of %.1f)" spent deadline
   | Aborted { fault } -> Printf.sprintf "aborted: %s" fault
@@ -127,7 +123,6 @@ type stage2 = S_final of Final_stage.t | S_tscan of Tscan.t
 
 type fast_first = {
   ff_jscan : Jscan.t;
-  ff_delivered : (Rid.t, unit) Hashtbl.t;
   mutable ff_active : bool;  (** foreground still running *)
   mutable ff_wasted : int;  (** fetches rejected by the restriction *)
   mutable ff_stage2 : stage2 option;
@@ -143,7 +138,6 @@ type index_only = {
   io_sscan : Sscan.t;
   io_cand : Scan.candidate;
   io_jscan : Jscan.t;
-  io_delivered : (Rid.t, unit) Hashtbl.t;
   mutable io_bgr_active : bool;
   mutable io_stage2 : stage2 option;
 }
@@ -191,24 +185,22 @@ type cursor = {
           [Scan_completed] events at [close] and folded into the
           table's feedback store (empty unless [feedback_rate > 0.]) *)
   delivered_rids : (Rid.t, unit) Hashtbl.t;
-  mutable exclude_delivered : bool;
-      (** set at fault fallback: the replacement Tscan must not
-          re-deliver rows the faulted scan already produced *)
+      (** every RID delivered so far, recorded by the [Tactic.distinct]
+          wrapping [tac]: the Tscan fallback and the final stage skip
+          them, and the foreground buffer caps count them *)
   mutable driver : Driver.t option;
       (** the shared cursor driver pumping the machine; installed right
           after construction (it closes over this record).
           Consecutive-fault counting lives in the driver *)
   mutable inbox : (Rid.t * Row.t) list;
-      (** batch rows accepted but not yet handed to [step] *)
+      (** batch rows not yet handed to [step] *)
   mutable pending_bg : (Fault.failure -> unit) option;
       (** quarantine action for a fault surfaced by a background
           competitor this quantum; [None] means the fault is the
           foreground's *)
   mutable aborted : string option;
-  mutable quota_hit : (float * float) option;
   mutable deadline_hit : (float * float) option;
-      (** (spent, deadline): the scheduler cancelled this cursor at a
-          grant boundary ({!note_deadline}) *)
+      (** (spent, deadline): the cost bound stopped this cursor *)
   mutable delivered : int;
   mutable first_row_cost : float option;
   mutable closed : bool;
@@ -311,14 +303,7 @@ let build_machine cursor_cfg table trace restriction
         Jscan.create table bgr_meter cursor_cfg.jscan trace
           ~candidates:classified.Initial_stage.jscan_candidates
       in
-      M_fast_first
-        {
-          ff_jscan = jscan;
-          ff_delivered = Hashtbl.create 64;
-          ff_active = true;
-          ff_wasted = 0;
-          ff_stage2 = None;
-        }
+      M_fast_first { ff_jscan = jscan; ff_active = true; ff_wasted = 0; ff_stage2 = None }
   | Sorted_tactic -> (
       match classified.Initial_stage.order_index with
       | None -> invalid_arg "sorted tactic without order index"
@@ -375,7 +360,6 @@ let build_machine cursor_cfg table trace restriction
           io_sscan = Sscan.create table fgr_meter cand ~restriction;
           io_cand = cand;
           io_jscan = jscan;
-          io_delivered = Hashtbl.create 64;
           io_bgr_active = true;
           io_stage2 = None;
         }
@@ -384,25 +368,23 @@ let build_machine cursor_cfg table trace restriction
 (* Stepping                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let step_stage2 table restriction delivered stage2 =
-  match stage2 with
-  | S_final f -> Final_stage.step f
-  | S_tscan t -> (
-      match Tscan.step t with
-      | Scan.Deliver (rid, _) when Hashtbl.mem delivered rid -> Scan.Continue
-      | s ->
-          ignore table;
-          ignore restriction;
-          s)
+let step_stage2 = function S_final f -> Final_stage.step f | S_tscan t -> Tscan.step t
 
-let make_stage2 c outcome ~delivered =
-  let exclude rid = Hashtbl.mem delivered rid in
+(* The final stage skips delivered RIDs before fetching them — the
+   skip saves a charged fetch; a Tscan stage's repeats are dropped by
+   the cursor's [distinct] instead. *)
+let make_stage2 c outcome =
   match outcome with
   | Jscan.Rid_list rids ->
       Trace.emit c.trace
-        (Trace.Final_stage { rids = Array.length rids; filtered_delivered = Hashtbl.length delivered });
+        (Trace.Final_stage
+           {
+             rids = Array.length rids;
+             filtered_delivered = Hashtbl.length c.delivered_rids;
+           });
       S_final
-        (Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction ~exclude)
+        (Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
+           ~exclude:(Hashtbl.mem c.delivered_rids))
   | Jscan.Recommend_tscan _ -> S_tscan (Tscan.create c.table c.bgr_meter c.restriction)
 
 let fgr_cost c = Cost.total c.fgr_meter
@@ -423,10 +405,10 @@ let bg_failed c quarantine f =
    here, in the switch quantum, exactly as the bespoke machines
    emitted it) and step it from then on.  [store] parks the stage on
    the machine record so the batch-boundary cache drop can reach it. *)
-let stage2_successor c ~delivered ~store outcome =
-  let s2 = make_stage2 c outcome ~delivered in
+let stage2_successor c ~store outcome =
+  let s2 = make_stage2 c outcome in
   store s2;
-  fun () -> step_stage2 c.table c.restriction delivered s2
+  fun () -> step_stage2 s2
 
 (* One quantum of the fast-first foreground phase.  The background
    Jscan is always advanced first (it is also the RID source); the
@@ -448,7 +430,7 @@ let fast_first_phase1 c ff =
         match Jscan.borrow ff.ff_jscan with
         | None -> Scan.Continue
         | Some rid ->
-            if Hashtbl.mem ff.ff_delivered rid then Scan.Continue
+            if Hashtbl.mem c.delivered_rids rid then Scan.Continue
             else begin
               (* A faulted borrowed fetch is reported as a
                  *foreground* heap fault; the borrowed RID is not
@@ -461,8 +443,10 @@ let fast_first_phase1 c ff =
               | None -> Scan.Continue
               | Some row ->
                   if Predicate.eval c.restriction (Table.schema c.table) row then begin
-                    Hashtbl.replace ff.ff_delivered rid ();
-                    if Hashtbl.length ff.ff_delivered >= c.cfg.fgr_buffer_cap then begin
+                    (* [distinct] records [rid] as it passes; it
+                       already counts toward the cap *)
+                    if Hashtbl.length c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap
+                    then begin
                       ff.ff_active <- false;
                       Trace.emit c.trace
                         (Trace.Foreground_stopped { reason = "foreground buffer overflow" })
@@ -537,22 +521,16 @@ let index_only_bg c io =
         Trace.emit c.trace
           (Trace.Foreground_stopped
              { reason = "Jscan delivered a small sure list; Sscan abandoned" });
-        Trace.emit c.trace
-          (Trace.Final_stage
-             { rids = Array.length rids; filtered_delivered = Hashtbl.length io.io_delivered });
-        io.io_stage2 <-
-          Some
-            (S_final
-               (Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
-                  ~exclude:(fun rid -> Hashtbl.mem io.io_delivered rid)))
+        io.io_stage2 <- Some (make_stage2 c (Jscan.Rid_list rids))
       end;
       Scan.Continue
 
 let index_only_fg c io =
   match Sscan.step io.io_sscan with
-  | Scan.Deliver (rid, row) ->
-      Hashtbl.replace io.io_delivered rid ();
-      if Hashtbl.length io.io_delivered >= c.cfg.fgr_buffer_cap && io.io_bgr_active
+  | Scan.Deliver _ as s ->
+      (* [distinct] records this row as it passes; it already counts
+         toward the cap *)
+      if Hashtbl.length c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap && io.io_bgr_active
       then begin
         (* Foreground buffer overflow: the safer Sscan wins,
            Jscan terminates (§7 index-only). *)
@@ -561,7 +539,7 @@ let index_only_fg c io =
           (Trace.Background_stopped
              { reason = "foreground buffer overflow; Sscan is the safer strategy" })
       end;
-      Scan.Deliver (rid, row)
+      s
   | s -> s
 
 (* The machine's behavior, assembled from Tactic combinators
@@ -570,68 +548,64 @@ let index_only_fg c io =
    then the final stage), cost competition ([race]: the §3
    foreground/background switch), and mid-flight takeover ([preempt]:
    index-only's sure list replacing the Sscan) belong to the
-   combinators — no bespoke multi-phase step dispatch remains.
-   Rebuilt whenever the machine is swapped (Tscan fallback). *)
-let tactic_of c machine =
-  match machine with
-  | M_empty -> Tactic.halt
-  | M_tscan t -> fun () -> Tscan.step t
-  | M_sscan s -> fun () -> Sscan.step s
-  | M_fscan f -> fun () -> Fscan.step f
-  | M_bg_only bg ->
-      let nobody = Hashtbl.create 0 in
-      Tactic.then_
-        (fun () ->
-          match Jscan.step bg.bg_jscan with
-          | `Working -> Scan.Continue
-          | `Faulted f -> bg_failed c (Jscan.quarantine bg.bg_jscan) f
-          | `Finished _ -> Scan.Done)
-        (fun () ->
-          stage2_successor c ~delivered:nobody
-            ~store:(fun s2 -> bg.bg_stage2 <- Some s2)
-            (Option.get (Jscan.outcome bg.bg_jscan)))
-  | M_union un ->
-      let nobody = Hashtbl.create 0 in
-      Tactic.then_
-        (fun () ->
-          match Uscan.step un.un_scan with
-          | `Working -> Scan.Continue
-          | `Faulted f -> bg_failed c (Uscan.abandon un.un_scan) f
-          | `Finished _ -> Scan.Done)
-        (fun () ->
-          let as_jscan =
-            match Option.get (Uscan.outcome un.un_scan) with
-            | Uscan.Rid_list rids -> Jscan.Rid_list rids
-            | Uscan.Recommend_tscan r -> Jscan.Recommend_tscan r
-          in
-          stage2_successor c ~delivered:nobody
-            ~store:(fun s2 -> un.un_stage2 <- Some s2)
-            as_jscan)
-  | M_fast_first ff ->
-      Tactic.then_
-        (fun () -> fast_first_phase1 c ff)
-        (fun () ->
-          stage2_successor c ~delivered:ff.ff_delivered
-            ~store:(fun s2 -> ff.ff_stage2 <- Some s2)
-            (Option.get (Jscan.outcome ff.ff_jscan)))
-  | M_sorted so ->
-      Tactic.race
-        ~choose:(fun () ->
-          if so.so_bgr_active && not (prefer_fgr c) then `Right else `Left)
-        ~left:(fun () -> sorted_fg c so)
-        ~right:(fun () -> sorted_bg c so)
-  | M_index_only io ->
-      Tactic.preempt
-        (fun () ->
-          match io.io_stage2 with
-          | Some s2 ->
-              Some (fun () -> step_stage2 c.table c.restriction io.io_delivered s2)
-          | None -> None)
-        (Tactic.race
-           ~choose:(fun () ->
-             if io.io_bgr_active && not (prefer_fgr c) then `Right else `Left)
-           ~left:(fun () -> index_only_fg c io)
-           ~right:(fun () -> index_only_bg c io))
+   combinators — no bespoke multi-phase step dispatch remains.  One
+   [distinct] over the whole composition is the cursor's delivered-RID
+   set.  Rebuilt whenever the machine is swapped (Tscan fallback). *)
+let tactic_of c =
+  Tactic.distinct c.delivered_rids
+    (match c.machine with
+    | M_empty -> Tactic.halt
+    | M_tscan t -> fun () -> Tscan.step t
+    | M_sscan s -> fun () -> Sscan.step s
+    | M_fscan f -> fun () -> Fscan.step f
+    | M_bg_only bg ->
+        Tactic.then_
+          (fun () ->
+            match Jscan.step bg.bg_jscan with
+            | `Working -> Scan.Continue
+            | `Faulted f -> bg_failed c (Jscan.quarantine bg.bg_jscan) f
+            | `Finished _ -> Scan.Done)
+          (fun () ->
+            stage2_successor c
+              ~store:(fun s2 -> bg.bg_stage2 <- Some s2)
+              (Option.get (Jscan.outcome bg.bg_jscan)))
+    | M_union un ->
+        Tactic.then_
+          (fun () ->
+            match Uscan.step un.un_scan with
+            | `Working -> Scan.Continue
+            | `Faulted f -> bg_failed c (Uscan.abandon un.un_scan) f
+            | `Finished _ -> Scan.Done)
+          (fun () ->
+            let as_jscan =
+              match Option.get (Uscan.outcome un.un_scan) with
+              | Uscan.Rid_list rids -> Jscan.Rid_list rids
+              | Uscan.Recommend_tscan r -> Jscan.Recommend_tscan r
+            in
+            stage2_successor c
+              ~store:(fun s2 -> un.un_stage2 <- Some s2)
+              as_jscan)
+    | M_fast_first ff ->
+        Tactic.then_
+          (fun () -> fast_first_phase1 c ff)
+          (fun () ->
+            stage2_successor c
+              ~store:(fun s2 -> ff.ff_stage2 <- Some s2)
+              (Option.get (Jscan.outcome ff.ff_jscan)))
+    | M_sorted so ->
+        Tactic.race
+          ~choose:(fun () ->
+            if so.so_bgr_active && not (prefer_fgr c) then `Right else `Left)
+          ~left:(fun () -> sorted_fg c so)
+          ~right:(fun () -> sorted_bg c so)
+    | M_index_only io ->
+        Tactic.preempt
+          (fun () -> Option.map (fun s2 () -> step_stage2 s2) io.io_stage2)
+          (Tactic.race
+             ~choose:(fun () ->
+               if io.io_bgr_active && not (prefer_fgr c) then `Right else `Left)
+             ~left:(fun () -> index_only_fg c io)
+             ~right:(fun () -> index_only_bg c io)))
 
 (* ------------------------------------------------------------------ *)
 (* Cursor API                                                          *)
@@ -743,12 +717,10 @@ let open_ ?(config = default_config) table (req : request) =
       ordered_by_index = classified_order;
       feedback_pending;
       delivered_rids = Hashtbl.create 64;
-      exclude_delivered = false;
       driver = None;
       inbox = [];
       pending_bg = None;
       aborted = None;
-      quota_hit = None;
       deadline_hit = None;
       delivered = 0;
       first_row_cost = None;
@@ -756,7 +728,7 @@ let open_ ?(config = default_config) table (req : request) =
       summary = None;
     }
   in
-  c.tac <- tactic_of c c.machine;
+  c.tac <- tactic_of c;
   c
 
 (* ------------------------------------------------------------------ *)
@@ -797,15 +769,15 @@ let abort_query c f =
   c.aborted <- Some (Fault.describe f)
 
 (* A foreground index path died: swap in the guaranteed-safe Tscan,
-   skipping rows already delivered.  If delivery order came from the
+   skipping rows already delivered (the rebuilt tactic keeps the
+   cursor's one [distinct] set).  If delivery order came from the
    index, the already-delivered prefix holds the lowest keys, so
    sorting the remainder keeps the whole stream ordered. *)
 let fallback_tscan c f =
   Trace.emit c.trace (Trace.Fallback_tscan { reason = Fault.describe f });
   if c.ordered_by_index then c.needs_sort <- true;
-  c.exclude_delivered <- true;
   c.machine <- M_tscan (Tscan.create c.table c.fgr_meter c.restriction);
-  c.tac <- tactic_of c c.machine
+  c.tac <- tactic_of c
 
 (* Retrieval's degradation ladder as a Tactic.Policy stack, one rung
    per recourse, tried in order (DESIGN.md §17).  The driver owns
@@ -925,74 +897,65 @@ let driver_of c =
       c.driver <- Some d;
       d
 
-(* Batch consumption: exclusion and delivered-RID bookkeeping happen
-   here, *before* any fault policy could swap in a fallback scan — a
-   fallback must see every row the batch delivered ahead of the fault
-   as already delivered. *)
-let accept_batch c (b : Scan.batch) =
-  let keep =
-    List.filter
-      (fun (rid, _) ->
-        if c.exclude_delivered && Hashtbl.mem c.delivered_rids rid then false
-        else begin
-          Hashtbl.replace c.delivered_rids rid ();
-          true
-        end)
-      b.Scan.rows
-  in
-  c.inbox <- c.inbox @ keep
-
 (* One quantum of raw progress: hand out a buffered row if the last
-   batch left any, otherwise check the quota and pump the driver for
-   one batch — the unit the multi-query session scheduler interleaves
-   by.  At the default [batch_budget = 0.] a batch is a single machine
-   step, reproducing the row-at-a-time protocol exactly. *)
+   batch left any, otherwise pump the driver for one batch — the unit
+   the multi-query session scheduler interleaves by.  At the default
+   [batch_budget = 0.] a batch is a single machine step, reproducing
+   the row-at-a-time protocol exactly.  The driver hands a batch's
+   rows over before any fault policy runs; the cursor's [distinct] has
+   already recorded them, so a fallback never redelivers one. *)
 let quantum_raw c =
   match c.inbox with
   | p :: rest ->
       c.inbox <- rest;
       `Row p
-  | [] ->
-      if c.aborted <> None || c.quota_hit <> None || c.deadline_hit <> None then
-        `Exhausted
-      else begin
-        match c.cfg.cost_quota with
-        | Some quota when total_cost c > quota ->
-            Trace.emit c.trace (Trace.Quota_exceeded { spent = total_cost c; quota });
-            c.quota_hit <- Some (total_cost c, quota);
-            `Exhausted
-        | _ -> (
-            let progress =
-              Driver.pump (driver_of c) ~budget:c.cfg.batch_budget
-                ~on_rows:(accept_batch c)
-            in
-            match c.inbox with
-            | p :: rest ->
-                c.inbox <- rest;
-                `Row p
-            | [] -> (
-                match progress with
-                | Driver.More | Driver.Stopped _ -> `Working
-                | Driver.Exhausted -> `Exhausted))
-      end
+  | [] -> (
+      if c.aborted <> None then `Exhausted
+      else
+        let progress =
+          Driver.pump (driver_of c) ~budget:c.cfg.batch_budget ~on_rows:(fun b ->
+              c.inbox <- b.Scan.rows)
+        in
+        match c.inbox with
+        | p :: rest ->
+            c.inbox <- rest;
+            `Row p
+        | [] -> (
+            match progress with
+            | Driver.More | Driver.Stopped _ -> `Working
+            | Driver.Exhausted -> `Exhausted))
 
-type step_result = Step_row of Rid.t * Row.t | Step_working | Step_done
+(* The one cost bound: once charged cost reaches [config.deadline] the
+   cursor stops for good.  The check that first sees it records the
+   [Deadline_exceeded] event, and [close] reports [Timed_out]. *)
+let past_deadline c =
+  match (c.deadline_hit, c.cfg.deadline) with
+  | Some _, _ -> true
+  | None, Some deadline when (not c.closed) && total_cost c >= deadline ->
+      let spent = total_cost c in
+      Trace.emit c.trace (Trace.Deadline_exceeded { spent; deadline });
+      c.deadline_hit <- Some (spent, deadline);
+      true
+  | None, _ -> false
 
+(* One quantum: [`Row] delivered a row, [`Working] made progress
+   without one, [`Done] means exhausted, timed out, aborted or
+   closed (the summary tells which). *)
 let step c =
   let raw =
-    if c.closed then Step_done
+    if c.closed || past_deadline c then `Done
     else if c.needs_sort then begin
       match c.sorted_rows with
       | Some (p :: rest) ->
           c.sorted_rows <- Some rest;
-          Step_row (fst p, snd p)
-      | Some [] -> Step_done
+          `Row p
+      | Some [] -> `Done
       | None -> (
           match quantum_raw c with
           | `Row p ->
               c.presort <- p :: c.presort;
-              Step_working
-          | `Working -> Step_working
+              `Working
+          | `Working -> `Working
           | `Exhausted ->
               (* Materialize and sort (the SORT node that made this goal
                  total-time in the first place). *)
@@ -1001,27 +964,26 @@ let step c =
               Array.sort (fun (_, a) (_, b) -> Row.compare_at c.order_ids a b) arr;
               Cost.charge_cpu c.fgr_meter (Array.length arr);
               c.sorted_rows <- Some (Array.to_list arr);
-              Step_working)
+              `Working)
     end
     else begin
       match quantum_raw c with
-      | `Row (rid, row) -> Step_row (rid, row)
-      | `Working -> Step_working
-      | `Exhausted -> Step_done
+      | (`Row _ | `Working) as r -> r
+      | `Exhausted -> `Done
     end
   in
   (match raw with
-  | Step_row _ ->
+  | `Row _ ->
       c.delivered <- c.delivered + 1;
       if c.first_row_cost = None then c.first_row_cost <- Some (total_cost c)
-  | Step_working | Step_done -> ());
+  | `Working | `Done -> ());
   raw
 
 let rec fetch_pair c =
   match step c with
-  | Step_row (rid, row) -> Some (rid, row)
-  | Step_working -> fetch_pair c
-  | Step_done -> None
+  | `Row p -> Some p
+  | `Working -> fetch_pair c
+  | `Done -> None
 
 let fetch c = Option.map snd (fetch_pair c)
 
@@ -1035,33 +997,27 @@ let drain_pairs c =
 
 let spent = total_cost
 
+(* The cost bound joins the stop predicate after the caller's [stop],
+   so a caller that is done (a LIMIT reached) pauses rather than times
+   out; a grant that exhausts the cursor reports that first. *)
 let grant c ~budget ~max_steps ~stop ~on_row =
   let finished = ref false in
   Driver.clocked_loop
     ~spent:(fun () -> total_cost c)
-    ~budget ~max_steps ~stop
+    ~budget ~max_steps
+    ~stop:(fun () -> stop () || past_deadline c)
     ~step:(fun () ->
       match step c with
-      | Step_row (_, row) ->
+      | `Row (_, row) ->
           on_row row;
           `Continue
-      | Step_working -> `Continue
-      | Step_done ->
+      | `Working -> `Continue
+      | `Done ->
           finished := true;
           `Finished);
-  !finished
-
-(* The scheduler's cooperative cancellation point: called at a grant
-   boundary when the session's cost deadline is spent.  The cursor
-   stops producing (every later quantum reports done) and [close]
-   reports the structured [Timed_out] status — never an exception, and
-   the rows delivered before the deadline stand. *)
-let note_deadline c ~deadline =
-  if c.deadline_hit = None && c.summary = None then begin
-    let spent = total_cost c in
-    Trace.emit c.trace (Trace.Deadline_exceeded { spent; deadline });
-    c.deadline_hit <- Some (spent, deadline)
-  end
+  if !finished then `Exhausted
+  else if Option.is_some c.deadline_hit then `Timed_out
+  else `Paused
 
 let rows_delivered c = c.delivered
 let tactic c = c.tactic
@@ -1101,7 +1057,7 @@ let is_switch_point = function
 
 let is_degradation = function
   | Trace.Index_quarantined _ | Trace.Fallback_tscan _ | Trace.Query_aborted _
-  | Trace.Quota_exceeded _ | Trace.Deadline_exceeded _ ->
+  | Trace.Deadline_exceeded _ ->
       true
   | _ -> false
 
@@ -1215,11 +1171,10 @@ let close c =
       Trace.emit c.trace
         (Trace.Retrieval_done { rows = c.delivered; cost = total_cost c });
       let status =
-        match (c.aborted, c.quota_hit, c.deadline_hit) with
-        | Some fault, _, _ -> Aborted { fault }
-        | None, Some (spent, quota), _ -> Cancelled_quota { spent; quota }
-        | None, None, Some (spent, deadline) -> Timed_out { spent; deadline }
-        | None, None, None -> Completed
+        match (c.aborted, c.deadline_hit) with
+        | Some fault, _ -> Aborted { fault }
+        | None, Some (spent, deadline) -> Timed_out { spent; deadline }
+        | None, None -> Completed
       in
       let events = Trace.events c.trace in
       feed_back c events;

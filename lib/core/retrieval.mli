@@ -55,9 +55,15 @@ type config = {
           fast-first LIMIT probes keep their refinement.  Like every
           config knob it steers cost, never results: rows and their
           order are invariant.  Default [true] *)
-  cost_quota : float option;
-      (** per-query cost ceiling, checked at quantum boundaries; [None]
-          disables the governor *)
+  deadline : float option;
+      (** the retrieval's one cost bound, in the units every meter
+          charges: once its total charged cost (planning included)
+          reaches the deadline, the cursor stops before its next
+          quantum — never mid-step, never an exception.  The first
+          check to see it records [Trace.Deadline_exceeded], and
+          {!close} reports {!constructor-Timed_out} with the rows
+          delivered so far standing.  {!grant} checks it after the
+          caller's [stop].  [None] — the default — never stops *)
   feedback_rate : float;
       (** learning rate for the table's cardinality-feedback store
           (DESIGN.md §13; 0..1).  At the default [0.] the loop is off:
@@ -113,12 +119,9 @@ val tactic_to_string : tactic_kind -> string
 
 type status =
   | Completed  (** normal exhaustion or caller close *)
-  | Cancelled_quota of { spent : float; quota : float }
-      (** the cost-quota governor stopped the query at a quantum
-          boundary *)
   | Timed_out of { spent : float; deadline : float }
-      (** a scheduler-imposed cost deadline cancelled the session at a
-          grant boundary ({!note_deadline}); delivered rows stand *)
+      (** charged cost reached [config.deadline]; delivered rows
+          stand *)
   | Aborted of { fault : string }
       (** the heap itself is unreadable — no degradation path left *)
 
@@ -165,39 +168,28 @@ val drain_pairs : cursor -> (Rid.t * Row.t) list
     path; Halloween-safe by construction — the scan completes before
     the caller mutates anything). *)
 
-type step_result =
-  | Step_row of Rid.t * Row.t  (** a qualifying row was delivered *)
-  | Step_working  (** one quantum of work done, nothing delivered yet *)
-  | Step_done  (** exhausted (or cancelled/aborted; see the summary) *)
-
-val step : cursor -> step_result
-(** Advance by exactly one cost quantum (one scan-machine step, plus
-    the quota check and fault policies).  [fetch] is a loop over
-    [step]; the multi-query session scheduler ({!Session}) interleaves
-    cursors by calling [step] directly so that no query can hold the
-    engine for longer than a bounded amount of charged cost. *)
-
 val spent : cursor -> float
 (** Total cost charged to this retrieval so far (foreground +
     background + estimation meters) — the scheduler's fairness
     currency. *)
 
-val grant : cursor -> budget:float -> max_steps:int -> stop:(unit -> bool) -> on_row:(Row.t -> unit) -> bool
-(** One scheduler grant: drive {!step} until [stop ()] holds, [budget]
-    worth of cost has been charged since entry, or [max_steps] steps
-    ran (all checked before each step — a spent budget grants
-    nothing).  Delivered rows go to [on_row]; returns [true] iff the
-    retrieval exhausted during the grant.  This is
-    {!Rdb_exec.Driver.clocked_loop} over [step] — the one grant loop
-    the session scheduler uses for queries and repairs alike. *)
-
-val note_deadline : cursor -> deadline:float -> unit
-(** Cooperative cancellation at a grant boundary: record that the
-    session's cost deadline is spent.  The cursor stops producing
-    (subsequent steps report done) and {!close} reports the structured
-    {!constructor-Timed_out} status — never an exception, never an
-    absorbing state; rows delivered before the deadline stand.
-    Idempotent; a no-op after {!close}. *)
+val grant :
+  cursor ->
+  budget:float ->
+  max_steps:int ->
+  stop:(unit -> bool) ->
+  on_row:(Row.t -> unit) ->
+  [ `Exhausted | `Timed_out | `Paused ]
+(** One scheduler grant: advance the cursor one quantum at a time
+    until [stop ()] holds, the cursor's [config.deadline] is reached,
+    [budget] worth of cost has been charged since entry, or
+    [max_steps] quanta ran (all checked before each quantum, in that
+    order — a spent budget grants nothing).  Delivered rows go to
+    [on_row].  Returns [`Exhausted] if the retrieval ran out during
+    the grant, else [`Timed_out] if the deadline stopped it (a [stop]
+    that holds first wins), else [`Paused].  This is
+    {!Rdb_exec.Driver.clocked_loop} — the one grant loop the session
+    scheduler uses for queries and repairs alike. *)
 
 val rows_delivered : cursor -> int
 val tactic : cursor -> tactic_kind

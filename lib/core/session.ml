@@ -148,7 +148,6 @@ type job = {
   j_id : id;
   j_label : string;
   j_quota : float option;  (** admission-ordering key *)
-  j_deadline : float option;  (** cost deadline (queries only) *)
   j_arrive_at : int;  (** grant tick at which the job joins the queue *)
   j_work : work;
   mutable j_arrived_tick : int;  (** tick at which it actually arrived *)
@@ -174,6 +173,8 @@ type t = {
 let create ?(config = default_config) db =
   if config.max_inflight < 1 then invalid_arg "Session.create: max_inflight < 1";
   if config.quantum <= 0.0 then invalid_arg "Session.create: quantum <= 0";
+  if config.max_steps_per_quantum < 1 then
+    invalid_arg "Session.create: max_steps_per_quantum < 1";
   if config.max_queue < 0 then invalid_arg "Session.create: max_queue < 0";
   if config.pressure_threshold < 0 then
     invalid_arg "Session.create: pressure_threshold < 0";
@@ -181,7 +182,7 @@ let create ?(config = default_config) db =
 
 let emit t e = if t.cfg.record_events then t.events <- e :: t.events
 
-let fresh_job t ?label ?deadline ?(arrive_at = 0) ~default_label ~quota work =
+let fresh_job t ?label ?(arrive_at = 0) ~default_label ~quota work =
   if t.ran then invalid_arg "Session.submit: scheduler already ran";
   if arrive_at < 0 then invalid_arg "Session.submit: arrive_at < 0";
   let id = t.next_id in
@@ -192,7 +193,6 @@ let fresh_job t ?label ?deadline ?(arrive_at = 0) ~default_label ~quota work =
       j_id = id;
       j_label = label;
       j_quota = quota;
-      j_deadline = deadline;
       j_arrive_at = arrive_at;
       j_work = work;
       j_arrived_tick = 0;
@@ -212,17 +212,20 @@ let fresh_job t ?label ?deadline ?(arrive_at = 0) ~default_label ~quota work =
 
 let submit t ?label ?config ?limit ?quota ?deadline ?arrive_at table request =
   let q_config = match config with Some c -> c | None -> t.cfg.retrieval in
-  let quota =
-    match quota with Some _ as q -> q | None -> q_config.Retrieval.cost_quota
+  (* The cursor carries the one cost bound; the tighter of the two wins. *)
+  let deadline =
+    match (deadline, q_config.Retrieval.deadline) with
+    | Some a, Some b -> Some (Float.min a b)
+    | d, None | None, d -> d
   in
-  fresh_job t ?label ?deadline ?arrive_at
+  fresh_job t ?label ?arrive_at
     ~default_label:(Printf.sprintf "q%d")
     ~quota
     (W_query
        {
          q_table = table;
          q_request = request;
-         q_config;
+         q_config = { q_config with Retrieval.deadline };
          q_limit = limit;
          q_cursor = None;
          q_rows = [];
@@ -247,8 +250,9 @@ let degradations (s : Retrieval.summary) =
          | _ -> false)
        s.Retrieval.trace)
 
-(* Admission order: smallest declared cost quota first (a bounded query
-   may jump an unbounded one), FIFO within a quota class. *)
+(* Admission order: smallest declared cost quota first (a query that
+   declares one may jump an undeclared one — a cost deadline is not a
+   declaration), FIFO within a quota class. *)
 let admission_key j =
   match j.j_quota with Some quota -> (quota, j.j_id) | None -> (infinity, j.j_id)
 
@@ -353,12 +357,7 @@ let run t =
   in
   let finish_timed_out j ~spent ~deadline =
     (match j.j_work with
-    | W_query q -> (
-        match q.q_cursor with
-        | Some c ->
-            Retrieval.note_deadline c ~deadline;
-            q.q_summary <- Some (Retrieval.close c)
-        | None -> ())
+    | W_query q -> q.q_summary <- Option.map Retrieval.close q.q_cursor
     | W_repair _ -> assert false (* repairs carry no deadline *));
     j.j_outcome <- Some (Timed_out { deadline; spent });
     metric_incr "session.timed_out";
@@ -386,8 +385,9 @@ let run t =
     List.iter
       (fun j ->
         j.j_arrived_tick <- !tick;
-        match j.j_deadline with
-        | Some d when d <= 0.0 -> finish_timed_out j ~spent:0.0 ~deadline:d
+        match j.j_work with
+        | W_query { q_config = { Retrieval.deadline = Some d; _ }; _ } when d <= 0.0 ->
+            finish_timed_out j ~spent:0.0 ~deadline:d
         | _ -> pending := !pending @ [ j ])
       now
   in
@@ -531,34 +531,29 @@ let run t =
     j.j_quanta <- j.j_quanta + 1;
     (* Both work kinds share the one clocked grant loop (exposed as
        [Retrieval.grant] / [Repair.grant] over the generic driver):
-       stop when the job finishes, its cost deadline is spent, the
-       quantum's cost is spent, or the step cap is hit — all checked
-       before each step. *)
+       stop when the job finishes, the query's cost deadline is
+       reached (the cursor checks its own bound), the quantum's cost
+       is spent, or the step cap is hit — all checked before each
+       step. *)
     match j.j_work with
     | W_query q ->
         let cursor = Option.get q.q_cursor in
-        let deadline_hit () =
-          match j.j_deadline with
-          | Some d -> Retrieval.spent cursor >= d
-          | None -> false
-        in
         let before = Retrieval.spent cursor in
-        let exhausted =
+        let granted =
           Retrieval.grant cursor ~budget:t.cfg.quantum
             ~max_steps:t.cfg.max_steps_per_quantum
-            ~stop:(fun () -> query_finished q || deadline_hit ())
+            ~stop:(fun () -> query_finished q)
             ~on_row:(fun row -> q.q_rows <- row :: q.q_rows)
         in
         j.j_charged <- j.j_charged +. (Retrieval.spent cursor -. before);
-        if exhausted || query_finished q then begin
-          finish_served j;
+        (match granted with
+        | `Exhausted -> finish_served j
+        | `Paused -> if query_finished q then finish_served j
+        | `Timed_out ->
+            finish_timed_out j ~spent:(Retrieval.spent cursor)
+              ~deadline:(Option.get q.q_config.Retrieval.deadline));
+        if Option.is_some j.j_outcome then
           active := List.filter (fun p -> p.j_id <> j.j_id) !active
-        end
-        else if deadline_hit () then begin
-          finish_timed_out j ~spent:(Retrieval.spent cursor)
-            ~deadline:(Option.get j.j_deadline);
-          active := List.filter (fun p -> p.j_id <> j.j_id) !active
-        end
     | W_repair r ->
         let rp = Option.get r.r_repair in
         let before = Repair.spent rp in

@@ -11,8 +11,8 @@
 
     + {b Admission control.}  At most [max_inflight] queries hold open
       cursors; the rest wait in a queue ordered by (declared cost
-      quota, arrival) — a bounded query (small [cost_quota]) may jump
-      an unbounded one, ties broken FIFO.  Plans are chosen at
+      quota, arrival) — a query declaring a small [quota] at
+      {!submit} may jump an undeclared one, ties broken FIFO.  Plans are chosen at
       admission time, one query at a time, so planning itself is never
       interleaved.
     + {b Fairness.}  Each grant gives one session up to [quantum] cost
@@ -27,8 +27,9 @@
       interact only through the shared buffer pool — i.e. through
       {e cost}, never through {e results}.
     + {b Overload protection} (DESIGN.md §12).  Submissions may carry a
-      cost {e deadline}: a session that exceeds it is cooperatively
-      cancelled at the next grant boundary with a structured
+      cost {e deadline}, the cursor's own bound
+      ([Retrieval.config.deadline]): a session that reaches it stops
+      before its next step and ends that grant with a structured
       {!outcome.Timed_out} — partial rows and charged cost stand, no
       exception, no absorbing state.  The waiting queue is bounded by
       [max_queue]: excess arrivals are {e shed} ({!shed_policy}) with a
@@ -70,8 +71,8 @@ type config = {
   max_inflight : int;  (** admission-control limit, >= 1 *)
   quantum : float;  (** cost units granted per scheduling slice *)
   max_steps_per_quantum : int;
-      (** hard step bound per grant, so zero-cost delivery (e.g. from a
-          materialized sort) cannot hold the engine *)
+      (** hard step bound per grant, >= 1, so zero-cost delivery (e.g.
+          from a materialized sort) cannot hold the engine *)
   starvation_bound : int;
       (** a runnable session passed over this many consecutive grants
           is scheduled next unconditionally *)
@@ -117,7 +118,7 @@ val default_config : config
 type id = int
 
 type outcome =
-  | Served  (** ran to its natural end (exhaustion, LIMIT, quota, fault) *)
+  | Served  (** ran to its natural end (exhaustion, LIMIT, fault) *)
   | Timed_out of { deadline : float; spent : float }
       (** cost deadline exceeded; the partial rows delivered stand *)
   | Shed of { reason : string }
@@ -213,6 +214,9 @@ type report = {
 type t
 
 val create : ?config:config -> Database.t -> t
+(** Raises [Invalid_argument] when [max_inflight < 1], [quantum <= 0],
+    [max_steps_per_quantum < 1] (a grant of zero steps would never
+    finish a query), [max_queue < 0] or [pressure_threshold < 0]. *)
 
 val submit :
   t ->
@@ -229,14 +233,14 @@ val submit :
     must share the scheduler's database pool.
 
     [quota] is the {e declared} admission-ordering quota — a
-    declaration only, it does not enforce anything (enforcement is
-    [config.cost_quota] / [deadline]); defaults to the query config's
-    [cost_quota].  [deadline] is a cost deadline in the same cost
-    units every meter charges: the session is cooperatively cancelled
-    at the first grant boundary at which its total charged cost
-    (planning included) reaches it, with outcome
-    {!outcome.Timed_out}; a deadline [<= 0] times out on arrival
-    without opening a cursor.  [arrive_at] (default [0]) is the grant
+    declaration only, it enforces nothing; [None] (the default) ranks
+    as unbounded.  [deadline] is a cost deadline in the same cost
+    units every meter charges; it sets the query config's
+    [Retrieval.deadline] (when both are given the tighter wins).  The
+    cursor stops before the first step at which its total charged
+    cost (planning included) has reached it, and the session ends
+    that grant with outcome {!outcome.Timed_out}; a deadline [<= 0]
+    times out on arrival without opening a cursor.  [arrive_at] (default [0]) is the grant
     tick at which the submission joins the queue — the storm
     workload's arrival process; the pool idles forward when nothing is
     runnable, so late arrivals always get service. *)
@@ -252,8 +256,9 @@ val submit_repair :
 
 val run : t -> report
 (** Drive every submitted query to a structured exit — [Served],
-    [Timed_out] or [Shed] — and return the report.  May be called
-    once; reuse requires a fresh scheduler. *)
+    [Timed_out], [Shed], or [Lost] when a crash point fires — and
+    return the report.  May be called once; reuse requires a fresh
+    scheduler. *)
 
 val rows_of : t -> id -> Row.t list
 (** Rows the session delivered, in delivery order (valid after
@@ -271,5 +276,6 @@ val report_to_string : report -> string
     tactic/status, so the report audits every submission — plus the
     pool totals, a shard/lookup-balance line when the pool is
     partitioned ([p_shards > 1] only, so single-shard reports are
-    byte-identical to the pre-sharding scheduler), and the
-    served/shed/timed-out ledger. *)
+    byte-identical to the pre-sharding scheduler), a crash line when a
+    crash point fired, and the served/shed/timed-out ledger (plus
+    [lost] after a crash). *)

@@ -43,51 +43,29 @@ let run ?(keep_threshold = 0.25) ?limit table pred ~env =
   let candidates =
     List.stable_sort (fun a b -> Float.compare a.Scan.est b.Scan.est) candidates
   in
-  let rows = ref [] in
-  let count = ref 0 in
-  let want_more () = match limit with Some n -> !count < n | None -> true in
-  let run_steps step =
-    let rec loop () =
-      if want_more () then begin
-        match step () with
-        | Scan.Deliver (_, row) ->
-            rows := row :: !rows;
-            incr count;
-            loop ()
-        | Scan.Continue -> loop ()
-        | Scan.Done -> ()
-        | Scan.Failed f ->
-            (* static paths run with no injector installed *)
-            raise (Fault.Injected f)
-      end
-    in
-    loop ()
+  let tscan () =
+    let t = Tscan.create table meter restriction in
+    fun () -> Tscan.step t
   in
-  let used_tscan = ref false in
-  (if candidates = [] then begin
-     used_tscan := true;
-     Trace.emit trace (Trace.Use_tscan { reason = "no index under the static threshold" });
-     let t = Tscan.create table meter restriction in
-     run_steps (fun () -> Tscan.step t)
-   end
-   else begin
-     let cfg = { Jscan.default_config with dynamic = false; simultaneous = false } in
-     let jscan = Jscan.create table meter cfg trace ~candidates in
-     match Jscan.run jscan with
-     | Jscan.Rid_list rids ->
-         let fin =
-           Final_stage.create table meter ~rids ~restriction ~exclude:(fun _ -> false)
-         in
-         run_steps (fun () -> Final_stage.step fin)
-     | Jscan.Recommend_tscan _ ->
-         used_tscan := true;
-         let t = Tscan.create table meter restriction in
-         run_steps (fun () -> Tscan.step t)
-   end);
-  Trace.emit trace (Trace.Retrieval_done { rows = !count; cost = Cost.total meter });
-  {
-    rows = List.rev !rows;
-    cost = Cost.total meter;
-    trace = Trace.events trace;
-    used_tscan = !used_tscan;
-  }
+  let used_tscan, step =
+    if candidates = [] then begin
+      Trace.emit trace
+        (Trace.Use_tscan { reason = "no index under the static threshold" });
+      (true, tscan ())
+    end
+    else begin
+      let cfg = { Jscan.default_config with dynamic = false; simultaneous = false } in
+      let jscan = Jscan.create table meter cfg trace ~candidates in
+      match Jscan.run jscan with
+      | Jscan.Rid_list rids ->
+          let fin =
+            Final_stage.create table meter ~rids ~restriction ~exclude:(fun _ -> false)
+          in
+          (false, fun () -> Final_stage.step fin)
+      | Jscan.Recommend_tscan _ -> (true, tscan ())
+    end
+  in
+  let rows = Static_optimizer.drain ?limit meter step in
+  Trace.emit trace
+    (Trace.Retrieval_done { rows = List.length rows; cost = Cost.total meter });
+  { rows; cost = Cost.total meter; trace = Trace.events trace; used_tscan }

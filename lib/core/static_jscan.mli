@@ -28,4 +28,6 @@ val run :
   result
 (** [keep_threshold] (default 0.25): an index participates iff its
     estimated range selectivity is at most this fraction of the table.
-    With no participating index the plan degenerates to Tscan. *)
+    With no participating index the plan degenerates to Tscan.
+    [limit] stops delivery early; raises [Invalid_argument] if
+    negative. *)

@@ -181,57 +181,55 @@ let compile ?projection table pred ~env =
 
 type result = { rows : Row.t list; cost : float; trace : Trace.event list }
 
+(* A static plan arms no degradation ladder: the first fault stops the
+   driver and escapes as the exception it was (static paths run with no
+   injector installed).  One batch with no [on_yield], so a final
+   stage's fetch cache lives for the whole run. *)
+let drain ?(limit = max_int) meter step =
+  let rows = ref [] in
+  let cursor =
+    Scan.cursor_of_step ~cost:(fun () -> Cost.total meter) (Tactic.limit limit step)
+  in
+  let stop = { Driver.on_fault = (fun _ ~consec:_ -> Driver.Stop) } in
+  match
+    Driver.drain (Driver.make cursor stop) ~budget:infinity ~on_rows:(fun b ->
+        rows := List.rev_append (List.map snd b.Scan.rows) !rows)
+  with
+  | Ok () -> List.rev !rows
+  | Error f -> raise (Fault.Injected f)
+
 let execute ?limit table plan pred ~env =
   let meter = Cost.create () in
   let trace = Trace.create () in
   let restriction = Predicate.simplify (Predicate.bind pred env) in
-  let rows = ref [] in
-  let count = ref 0 in
-  let want_more () = match limit with Some n -> !count < n | None -> true in
-  let deliver row =
-    rows := row :: !rows;
-    incr count
+  let step =
+    match plan.strategy with
+    | P_tscan ->
+        let t = Tscan.create table meter restriction in
+        fun () -> Tscan.step t
+    | P_sscan name | P_fscan name -> (
+        match Table.find_index table name with
+        | None -> invalid_arg ("Static_optimizer.execute: no index " ^ name)
+        | Some idx -> (
+            let extraction = Range_extract.for_index restriction idx in
+            let cand =
+              {
+                Scan.idx;
+                ranges = extraction.Range_extract.ranges;
+                residual = extraction.Range_extract.residual;
+                est = 0.0;
+                est_exact = false;
+              }
+            in
+            match plan.strategy with
+            | P_sscan _ ->
+                let s = Sscan.create table meter cand ~restriction in
+                fun () -> Sscan.step s
+            | P_fscan _ | P_tscan ->
+                let f = Fscan.create table meter cand ~restriction in
+                fun () -> Fscan.step f))
   in
-  let run_steps step =
-    let rec loop () =
-      if want_more () then begin
-        match step () with
-        | Scan.Deliver (_, row) ->
-            deliver row;
-            loop ()
-        | Scan.Continue -> loop ()
-        | Scan.Done -> ()
-        | Scan.Failed f ->
-            (* static paths run with no injector installed *)
-            raise (Fault.Injected f)
-      end
-    in
-    loop ()
-  in
-  (match plan.strategy with
-  | P_tscan ->
-      let t = Tscan.create table meter restriction in
-      run_steps (fun () -> Tscan.step t)
-  | P_sscan name | P_fscan name -> (
-      match Table.find_index table name with
-      | None -> invalid_arg ("Static_optimizer.execute: no index " ^ name)
-      | Some idx ->
-          let extraction = Range_extract.for_index restriction idx in
-          let cand =
-            {
-              Scan.idx;
-              ranges = extraction.Range_extract.ranges;
-              residual = extraction.Range_extract.residual;
-              est = 0.0;
-              est_exact = false;
-            }
-          in
-          (match plan.strategy with
-          | P_sscan _ ->
-              let s = Sscan.create table meter cand ~restriction in
-              run_steps (fun () -> Sscan.step s)
-          | P_fscan _ | P_tscan ->
-              let f = Fscan.create table meter cand ~restriction in
-              run_steps (fun () -> Fscan.step f))));
-  Trace.emit trace (Trace.Retrieval_done { rows = !count; cost = Cost.total meter });
-  { rows = List.rev !rows; cost = Cost.total meter; trace = Trace.events trace }
+  let rows = drain ?limit meter step in
+  Trace.emit trace
+    (Trace.Retrieval_done { rows = List.length rows; cost = Cost.total meter });
+  { rows; cost = Cost.total meter; trace = Trace.events trace }

@@ -39,6 +39,14 @@ type result = {
 val execute :
   ?limit:int -> Table.t -> plan -> Predicate.t -> env:Predicate.env -> result
 (** Run the frozen plan with the *actual* parameter values.  [limit]
-    stops delivery early (the plan itself never switches). *)
+    stops delivery early (the plan itself never switches); raises
+    [Invalid_argument] if negative. *)
+
+val drain : ?limit:int -> Rdb_storage.Cost.t -> Tactic.t -> Row.t list
+(** Run a static plan's step tactic to completion under
+    [Tactic.limit limit] (default: every row), as one batch through
+    {!Rdb_exec.Driver}, and return the delivered rows in order.
+    Static plans arm no degradation ladder: a fault escapes as
+    [Fault.Injected].  Shared by {!Static_jscan}. *)
 
 val strategy_to_string : strategy -> string

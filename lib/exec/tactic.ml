@@ -55,30 +55,6 @@ let preempt probe tac =
             s ()
         | None -> tac ())
 
-let repeat_until pred make =
-  let current = ref (make ()) in
-  fun () ->
-    match !current () with
-    | Scan.Done ->
-        if pred () then Scan.Done
-        else begin
-          current := make ();
-          Scan.Continue
-        end
-    | s -> s
-
-let abandon_if cond tac =
-  let dead = ref None in
-  fun () ->
-    match !dead with
-    | Some f -> Scan.Failed f
-    | None -> (
-        match cond () with
-        | Some f ->
-            dead := Some f;
-            Scan.Failed f
-        | None -> tac ())
-
 let limit n tac =
   if n < 0 then invalid_arg "Tactic.limit: negative row limit";
   let seen = ref 0 in
@@ -93,10 +69,12 @@ let limit n tac =
 
 let distinct seen tac () =
   match tac () with
-  | Scan.Deliver (rid, _) when Hashtbl.mem seen rid -> Scan.Continue
   | Scan.Deliver (rid, _) as s ->
+      (* One lookup per row: [replace] grows [seen] iff [rid] is new.
+         Every retrieval cursor runs under this, once per row. *)
+      let before = Hashtbl.length seen in
       Hashtbl.replace seen rid ();
-      s
+      if Hashtbl.length seen > before then s else Scan.Continue
   | s -> s
 
 let with_policy policy inner =

@@ -6,8 +6,8 @@
     ladders try one recourse after another.  This module makes those
     compositions first-class: a {!t} is a resumable quantum function
     (each call advances the strategy by one {!Scan.step}), and the
-    combinators assemble quantum functions the way THEN / ORELSE /
-    REPEAT assemble LCF tactics.  {!Rdb_core.Retrieval} builds every
+    combinators assemble quantum functions the way THEN / ORELSE
+    assemble LCF tactics.  {!Rdb_core.Retrieval} builds every
     multi-phase machine from these; the {!Policy} sub-algebra plays the
     same role for {!Driver} fault policies.
 
@@ -65,31 +65,21 @@ val preempt : (unit -> t option) -> t -> t
     Until then, step [tac].  After the switch [probe] is never
     consulted again. *)
 
-val repeat_until : (unit -> bool) -> (unit -> t) -> t
-(** [repeat_until pred make]: step the tactic built by [make ()]; at
-    each of its [Done] boundaries, finish if [pred ()] holds, else
-    build a fresh tactic with [make ()] and yield [Continue].  Law:
-    each restart consumes exactly one [Continue] quantum; with [pred =
-    fun () -> true] this is the identity (one pass). *)
-
-val abandon_if : (unit -> Fault.failure option) -> t -> t
-(** [abandon_if cond tac]: before each quantum, ask [cond ()]; the
-    first [Some f] permanently converts the tactic into one that
-    yields [Failed f] without stepping [tac] — a predicate (cost cap,
-    staleness bound) becomes a fault for the policy ladder to settle,
-    the all-or-nothing abandonment shape of {!Uscan}. *)
-
 val limit : int -> t -> t
 (** [limit n tac]: deliver at most [n] rows, then yield [Done] without
     stepping [tac] further.  Raises [Invalid_argument] if [n < 0].
-    [limit max_int] is the identity. *)
+    [limit max_int] is the identity.  The static baselines'
+    [?limit] ({!Rdb_core.Static_optimizer}, {!Rdb_core.Static_jscan}). *)
 
 val distinct : (Rid.t, unit) Hashtbl.t -> t -> t
 (** [distinct seen tac]: suppress (as [Continue]) any [Deliver] whose
     RID is already in [seen], recording delivered RIDs as they pass.
     Makes overlapping {!orelse} arms safe: the fallback arm re-covers
     the faulted arm's ground without redelivering.  Identity when [tac]
-    never repeats a RID and [seen] starts empty. *)
+    never repeats a RID and [seen] starts empty.  Every retrieval
+    cursor's composed tactic runs under one [distinct]: [seen] is the
+    cursor's delivered-RID set, which its Tscan fallback, final stage,
+    and foreground buffer caps all read. *)
 
 val with_policy : Driver.policy -> Scan.cursor -> Scan.cursor
 (** A {!Driver} fault policy as a cursor transformer: batches pass

@@ -22,7 +22,6 @@ type event =
   | Index_quarantined of { index : string; fault : string }
   | Fallback_tscan of { reason : string }
   | Query_aborted of { fault : string }
-  | Quota_exceeded of { spent : float; quota : float }
   | Deadline_exceeded of { spent : float; deadline : float }
   | Span_begin of { span : string }
       (** span-style tracing: a named phase (plan, execute, an arm of a
@@ -87,8 +86,6 @@ let event_to_string = function
       Printf.sprintf "index %s QUARANTINED: %s" index fault
   | Fallback_tscan { reason } -> Printf.sprintf "fallback to Tscan: %s" reason
   | Query_aborted { fault } -> Printf.sprintf "query ABORTED: %s" fault
-  | Quota_exceeded { spent; quota } ->
-      Printf.sprintf "cost quota exceeded: %.2f spent of %.2f allowed" spent quota
   | Deadline_exceeded { spent; deadline } ->
       Printf.sprintf "cost deadline exceeded: %.2f spent of %.2f allowed" spent deadline
   | Span_begin { span } -> Printf.sprintf "span %s begin" span

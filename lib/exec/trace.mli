@@ -39,11 +39,10 @@ type event =
       (** foreground switched to the guaranteed-safe sequential scan *)
   | Query_aborted of { fault : string }
       (** the heap itself was unreadable: no degradation possible *)
-  | Quota_exceeded of { spent : float; quota : float }
-      (** per-query cost-quota governor cancelled the retrieval *)
   | Deadline_exceeded of { spent : float; deadline : float }
-      (** a scheduler-imposed cost deadline cancelled the session at a
-          grant boundary; the rows delivered before it stand *)
+      (** the retrieval's charged cost reached its cost deadline and
+          the cursor stopped before its next quantum; the rows
+          delivered before it stand *)
   | Span_begin of { span : string }
       (** span-style tracing: a named phase (plan, execute, an arm of a
           competition) opened; the matching [Span_end] carries its

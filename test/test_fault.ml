@@ -340,25 +340,28 @@ let test_corrupt_heap_healed_by_repair () =
   check "heap healthy again" true
     (Health.state (Table.health table) Table.heap_structure = Health.Healthy)
 
-(* --- cost-quota governor -------------------------------------------------- *)
+(* --- the cost bound on a standalone cursor -------------------------------- *)
 
-let test_quota_cancels_at_quantum_boundary () =
+let test_deadline_stops_standalone_cursor () =
   let f = fixture () in
-  (* Cold pool: the full scan must pay physical reads, so a tiny quota
-     is exceeded partway through the stream. *)
+  (* Cold pool: the full scan must pay physical reads, so a tiny
+     deadline is reached partway through the stream. *)
   Buffer_pool.flush f.pool;
-  let quota = 10.0 in
-  let cfg = { R.default_config with R.cost_quota = Some quota } in
+  let deadline = 10.0 in
+  let cfg = { R.default_config with R.deadline = Some deadline } in
   let rows, s = R.run ~config:cfg f.table (R.request Predicate.True) in
   (match s.R.status with
-  | R.Cancelled_quota { spent; quota = q } ->
-      check "reported quota" true (q = quota);
-      check "spent beyond quota" true (spent > quota)
-  | _ -> Alcotest.fail "tiny quota must cancel");
-  check "quota traced" true
-    (has_event (function Trace.Quota_exceeded _ -> true | _ -> false) s.R.trace);
-  check "truncated" true
-    (List.length rows < List.length (oracle f Predicate.True))
+  | R.Timed_out { spent; deadline = d } ->
+      check "reported deadline" true (d = deadline);
+      check "spent at least the deadline" true (spent >= deadline)
+  | _ -> Alcotest.fail "tiny deadline must time out");
+  check "deadline traced" true
+    (has_event (function Trace.Deadline_exceeded _ -> true | _ -> false) s.R.trace);
+  (* a strict prefix of the unbounded run's stream *)
+  let all, _ = R.run f.table (R.request Predicate.True) in
+  let n = List.length rows in
+  check "truncated" true (n < List.length all);
+  check "prefix of the full stream" true (rows = List.filteri (fun i _ -> i < n) all)
 
 (* --- pool invariants under fault/flush interleavings ---------------------- *)
 
@@ -428,8 +431,8 @@ let () =
             test_spill_exhaustion_falls_back;
           Alcotest.test_case "corrupt heap healed by REPAIR TABLE" `Quick
             test_corrupt_heap_healed_by_repair;
-          Alcotest.test_case "quota cancels at quantum boundary" `Quick
-            test_quota_cancels_at_quantum_boundary;
+          Alcotest.test_case "deadline stops a standalone cursor" `Quick
+            test_deadline_stops_standalone_cursor;
         ] );
       ( "pool",
         [ QCheck_alcotest.to_alcotest prop_pool_invariants_under_faults ] );

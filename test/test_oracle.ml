@@ -157,7 +157,7 @@ let wrap_random rng tac =
   let wrap tac =
     match Prng.int rng 5 with
     | 0 -> Tactic.limit max_int tac
-    | 1 -> Tactic.abandon_if (fun () -> None) tac
+    | 1 -> Tactic.preempt (fun () -> None) tac
     | 2 -> Tactic.distinct (Hashtbl.create 16) tac
     | 3 -> Tactic.then_ tac (fun () -> Tactic.halt)
     | _ -> Tactic.race ~choose:(fun () -> `Left) ~left:tac ~right:Tactic.halt

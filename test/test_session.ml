@@ -166,12 +166,11 @@ let test_quota_admission_order () =
   let sched =
     S.create ~config:{ S.default_config with S.max_inflight = 1; S.record_events = true } db
   in
-  let quota_cfg = { R.default_config with R.cost_quota = Some 1.0e9 } in
   let ids =
     List.mapi
       (fun i sp ->
-        let config = if i = List.length specs - 1 then Some quota_cfg else None in
-        S.submit sched ~label:sp.Traffic.label ?config ?limit:sp.Traffic.limit table
+        let quota = if i = List.length specs - 1 then Some 1.0e9 else None in
+        S.submit sched ~label:sp.Traffic.label ?quota ?limit:sp.Traffic.limit table
           (request_of sp))
       specs
   in
@@ -276,6 +275,116 @@ let test_deadline () =
   check "accounting exact" true
     (report.S.pool.S.p_served + report.S.pool.S.p_shed + report.S.pool.S.p_timed_out
     = report.S.pool.S.p_submitted)
+
+(* The cursor's cost bound joins the grant loop's stop check, which
+   runs right after the step that spends the quantum: a deadline reached
+   on that very step times out in the same grant — same tick, no extra
+   quantum. *)
+let test_deadline_on_quantum_step () =
+  let db, table = Lazy.force fixture in
+  let pool = Database.pool db in
+  let quantum = 10.0 in
+  let req = R.request Predicate.True in
+  (* calibrate on a bare cursor: the spent cost after each of the first
+     two grants a lone session would get *)
+  Rdb_storage.Buffer_pool.flush pool;
+  let c = R.open_ table req in
+  let grant () =
+    let r =
+      R.grant c ~budget:quantum ~max_steps:S.default_config.S.max_steps_per_quantum
+        ~stop:(fun () -> false) ~on_row:ignore
+    in
+    check "calibration grant pauses" true (r = `Paused);
+    R.spent c
+  in
+  let s1 = grant () in
+  let s2 = grant () in
+  ignore (R.close c);
+  check "the second grant ends on its quantum" true (s2 -. s1 >= quantum);
+  Rdb_storage.Buffer_pool.flush pool;
+  let sched =
+    S.create ~config:{ S.default_config with S.quantum; S.record_events = true } db
+  in
+  let id = S.submit sched ~deadline:s2 table req in
+  let report = S.run sched in
+  let st = List.hd report.S.sessions in
+  check "timed out at the deadline" true
+    (st.S.s_outcome = S.Timed_out { deadline = s2; spent = s2 });
+  check "no extra quantum" true (st.S.s_quanta = 2 && report.S.pool.S.p_grants = 2);
+  check "timed out in the same grant" true
+    (List.mem
+       (S.Timed_out_event { id; tick = 2; spent = s2; deadline = s2 })
+       report.S.events);
+  check "deadline traced once" true
+    (match st.S.s_summary with
+    | Some sm ->
+        List.length
+          (List.filter
+             (function Rdb_exec.Trace.Deadline_exceeded _ -> true | _ -> false)
+             sm.R.trace)
+        = 1
+    | None -> false)
+
+(* A caller's stop ranks before the cost bound: a LIMIT reached on the
+   same step as the deadline, or on a step that overshoots it, ends the
+   session Served with status Completed. *)
+let test_limit_at_deadline_served () =
+  let db, table = Lazy.force fixture in
+  let pool = Database.pool db in
+  let req = R.request Predicate.True in
+  let limit = 5 in
+  (* calibrate one quantum at a time: the spent cost just before and
+     right after the step that delivers the LIMIT-th row *)
+  Rdb_storage.Buffer_pool.flush pool;
+  let c = R.open_ table req in
+  let delivered = ref 0 in
+  let rec walk () =
+    let before = R.spent c in
+    ignore
+      (R.grant c ~budget:infinity ~max_steps:1 ~stop:(fun () -> false) ~on_row:(fun _ ->
+           incr delivered));
+    if !delivered >= limit then (before, R.spent c) else walk ()
+  in
+  let before, at = walk () in
+  ignore (R.close c);
+  check "the LIMIT step charges" true (before < at);
+  List.iter
+    (fun deadline ->
+      Rdb_storage.Buffer_pool.flush pool;
+      let sched = S.create db in
+      let id = S.submit sched ~limit ~deadline table req in
+      let report = S.run sched in
+      let st = List.hd report.S.sessions in
+      check "served" true (st.S.s_outcome = S.Served);
+      check "status completed" true
+        (match st.S.s_summary with Some sm -> sm.R.status = R.Completed | None -> false);
+      check "LIMIT rows delivered" true (List.length (S.rows_of sched id) = limit))
+    [ at; (before +. at) /. 2.0 ]
+
+(* [submit ?deadline] and the query config's deadline are one bound:
+   when both are given, the tighter wins. *)
+let test_tighter_deadline_wins () =
+  let db, table = Lazy.force fixture in
+  Rdb_storage.Buffer_pool.flush (Database.pool db);
+  let req = R.request Predicate.True in
+  let with_deadline d = { R.default_config with R.deadline = Some d } in
+  let sched = S.create db in
+  let _ = S.submit sched ~config:(with_deadline 1.0e9) ~deadline:4.0 table req in
+  let _ = S.submit sched ~config:(with_deadline 4.0) ~deadline:1.0e9 table req in
+  let report = S.run sched in
+  List.iter
+    (fun st ->
+      check "timed out at the tighter deadline" true
+        (match st.S.s_outcome with
+        | S.Timed_out { deadline; _ } -> deadline = 4.0
+        | _ -> false))
+    report.S.sessions
+
+let test_zero_step_quantum_rejected () =
+  let db, _ = Lazy.force fixture in
+  Alcotest.check_raises "max_steps_per_quantum = 0 rejected"
+    (Invalid_argument "Session.create: max_steps_per_quantum < 1") (fun () ->
+      ignore (S.create ~config:{ S.default_config with S.max_steps_per_quantum = 0 } db))
 
 (* Explicitly-neutral overload knobs reproduce the default scheduler
    bit-for-bit: an unbounded queue never sheds, an infinite pressure
@@ -596,11 +705,19 @@ let () =
           Alcotest.test_case "lifecycle guards" `Quick test_lifecycle;
           Alcotest.test_case "quota-aware admission order" `Quick
             test_quota_admission_order;
+          Alcotest.test_case "zero-step quantum rejected" `Quick
+            test_zero_step_quantum_rejected;
         ] );
       ( "overload",
         [
           QCheck_alcotest.to_alcotest prop_shed_isolation;
           Alcotest.test_case "cost deadlines" `Quick test_deadline;
+          Alcotest.test_case "quantum-step deadline, same grant" `Quick
+            test_deadline_on_quantum_step;
+          Alcotest.test_case "LIMIT at the deadline is served" `Quick
+            test_limit_at_deadline_served;
+          Alcotest.test_case "the tighter deadline wins" `Quick
+            test_tighter_deadline_wins;
           Alcotest.test_case "neutral knobs reproduce default behavior" `Quick
             test_neutral_knobs;
           Alcotest.test_case "shed policies pick the right victims" `Quick

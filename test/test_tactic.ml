@@ -145,41 +145,6 @@ let test_preempt () =
   check "successor persists" true (tac () = Scan.Done);
   check_int "probe never consulted after the switch" 2 !probes
 
-let test_repeat_until () =
-  let passes = ref 0 in
-  let tac =
-    Tactic.repeat_until
-      (fun () -> !passes >= 3)
-      (fun () ->
-        incr passes;
-        of_script [ deliver !passes ])
-  in
-  let s = stream tac in
-  check "three passes, one Continue per restart" true
-    (s
-    = [ deliver 1; Scan.Continue; deliver 2; Scan.Continue; deliver 3;
-        Scan.Done ]);
-  let one_pass =
-    Tactic.repeat_until (fun () -> true) (fun () -> of_script [ deliver 1 ])
-  in
-  check "pred-true is the one-pass identity" true
-    (stream one_pass = [ deliver 1; Scan.Done ])
-
-let test_abandon_if () =
-  let stepped = ref 0 in
-  let cut = ref None in
-  let tac =
-    Tactic.abandon_if
-      (fun () -> !cut)
-      (fun () -> incr stepped; Scan.Continue)
-  in
-  check "inner runs while the predicate is quiet" true (tac () = Scan.Continue);
-  cut := Some (fault 3);
-  check "first Some becomes the failure" true (tac () = Scan.Failed (fault 3));
-  cut := None;
-  check "abandonment is permanent" true (tac () = Scan.Failed (fault 3));
-  check_int "inner never stepped after abandonment" 1 !stepped
-
 let test_limit () =
   let stepped = ref 0 in
   let inner () =
@@ -401,7 +366,7 @@ let prop_identity_wraps =
       let wrap tac =
         match pick with
         | 0 -> Tactic.limit max_int tac
-        | 1 -> Tactic.abandon_if (fun () -> None) tac
+        | 1 -> Tactic.race ~choose:(fun () -> `Right) ~left:Tactic.halt ~right:tac
         | 2 -> Tactic.race ~choose:(fun () -> `Left) ~left:tac ~right:Tactic.halt
         | _ -> Tactic.preempt (fun () -> None) tac
       in
@@ -490,8 +455,6 @@ let () =
             test_orelse_handler_fault_propagates;
           Alcotest.test_case "race" `Quick test_race;
           Alcotest.test_case "preempt" `Quick test_preempt;
-          Alcotest.test_case "repeat_until" `Quick test_repeat_until;
-          Alcotest.test_case "abandon_if" `Quick test_abandon_if;
           Alcotest.test_case "limit" `Quick test_limit;
           Alcotest.test_case "distinct" `Quick test_distinct;
         ] );
