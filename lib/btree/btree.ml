@@ -6,18 +6,19 @@ type key = Value.t array
 
 type entry = key * Rid.t
 
+(* Top-level rather than a local closure over [a], [b] and [n]: without
+   flambda such a closure is heap-allocated on every comparison. *)
+let rec compare_key_from (a : key) (b : key) n i =
+  if i >= n then 0
+  else begin
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_key_from a b n (i + 1)
+  end
+
 (* Prefix-lexicographic: a shorter key equal on its length compares
    equal, so partial keys act as range bounds over composite keys. *)
 let compare_key (a : key) (b : key) =
-  let n = Int.min (Array.length a) (Array.length b) in
-  let rec loop i =
-    if i >= n then 0
-    else begin
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else loop (i + 1)
-    end
-  in
-  loop 0
+  compare_key_from a b (Int.min (Array.length a) (Array.length b)) 0
 
 let compare_entry ((ka, ra) : entry) ((kb, rb) : entry) =
   let c = compare_key ka kb in
@@ -46,12 +47,18 @@ and internal = {
   mutable total : int;
 }
 
+(* [leaves], [internals] and [inner_children] (the children of all
+   internal nodes) are the tree's shape, maintained where nodes are born
+   and die, so the planner's averages cost no walk of the tree. *)
 type t = {
   pool : Buffer_pool.t;
   file : int;
   f : int;
   mutable root : node;
   mutable next_block : int;
+  mutable leaves : int;
+  mutable internals : int;
+  mutable inner_children : int;
 }
 
 let node_total = function
@@ -74,6 +81,9 @@ let create ?(fanout = 64) pool =
       f = fanout;
       root = Leaf (fresh_leaf ~leaf_id:0 ~entries:(Dynarray.create ()) ~next:None);
       next_block = 1;
+      leaves = 1;
+      internals = 0;
+      inner_children = 0;
     }
   in
   t
@@ -136,10 +146,8 @@ let rec fold_nodes f acc node =
   | Leaf _ -> acc
   | Internal n -> Dynarray.fold_left (fold_nodes f) acc n.children
 
-let node_count t = fold_nodes (fun acc _ -> acc + 1) 0 t.root
-
-let leaf_count t =
-  fold_nodes (fun acc n -> match n with Leaf _ -> acc + 1 | Internal _ -> acc) 0 t.root
+let node_count t = t.leaves + t.internals
+let leaf_count t = t.leaves
 
 let leaf_blocks t =
   List.rev
@@ -147,21 +155,11 @@ let leaf_blocks t =
        (fun acc n -> match n with Leaf l -> l.leaf_id :: acc | Internal _ -> acc)
        [] t.root)
 
-let avg_leaf_entries t =
-  let leaves = leaf_count t in
-  if leaves = 0 then 0.0 else float_of_int (cardinality t) /. float_of_int leaves
+let avg_leaf_entries t = float_of_int (cardinality t) /. float_of_int t.leaves
 
 let avg_internal_children t =
-  let internals, children =
-    fold_nodes
-      (fun (i, c) n ->
-        match n with
-        | Leaf _ -> (i, c)
-        | Internal nd -> (i + 1, c + Dynarray.length nd.children))
-      (0, 0) t.root
-  in
-  if internals = 0 then float_of_int (Int.max 1 (cardinality t))
-  else float_of_int children /. float_of_int internals
+  if t.internals = 0 then float_of_int (Int.max 1 (cardinality t))
+  else float_of_int t.inner_children /. float_of_int t.internals
 
 (* --- search helpers ------------------------------------------------ *)
 
@@ -233,6 +231,7 @@ let rec insert_node t meter node e : bool * split option =
             fresh_leaf ~leaf_id:(fresh_block t) ~entries:right_entries ~next:l.next
           in
           l.next <- Some right;
+          t.leaves <- t.leaves + 1;
           written t meter (Leaf right);
           (true, Some { sep = Dynarray.get right.entries 0; right = Leaf right })
         end
@@ -246,6 +245,7 @@ let rec insert_node t meter node e : bool * split option =
       | Some { sep; right } ->
           dyn_insert_at n.seps i sep;
           dyn_insert_at n.children (i + 1) right;
+          t.inner_children <- t.inner_children + 1;
           written t meter node);
       if Dynarray.length n.children <= t.f then (inserted, None)
       else begin
@@ -263,6 +263,7 @@ let rec insert_node t meter node e : bool * split option =
             total = right_total }
         in
         n.total <- n.total - right_total;
+        t.internals <- t.internals + 1;
         written t meter node;
         written t meter (Internal right);
         (inserted, Some { sep = up; right = Internal right })
@@ -284,6 +285,8 @@ let insert t meter k rid =
           total = node_total t.root + node_total right }
       in
       t.root <- Internal root;
+      t.internals <- t.internals + 1;
+      t.inner_children <- t.inner_children + 2;
       written t meter t.root
 
 (* --- deletion ------------------------------------------------------- *)
@@ -395,21 +398,27 @@ and merge t meter n i =
   | Leaf l, Leaf r ->
       Dynarray.append l.entries r.entries;
       l.next <- r.next;
+      t.leaves <- t.leaves - 1;
       written t meter (Leaf l)
   | Internal l, Internal r ->
       Dynarray.push l.seps (Dynarray.get n.seps i);
       Dynarray.append l.seps r.seps;
       Dynarray.append l.children r.children;
       l.total <- l.total + r.total;
+      t.internals <- t.internals - 1;
       written t meter (Internal l)
   | _ -> assert false);
   dyn_remove_at n.seps i;
-  dyn_remove_at n.children (i + 1)
+  dyn_remove_at n.children (i + 1);
+  t.inner_children <- t.inner_children - 1
 
 let delete t meter k rid =
   let removed = delete_node t meter t.root (k, rid) in
   (match t.root with
-  | Internal n when Dynarray.length n.children = 1 -> t.root <- Dynarray.get n.children 0
+  | Internal n when Dynarray.length n.children = 1 ->
+      t.root <- Dynarray.get n.children 0;
+      t.internals <- t.internals - 1;
+      t.inner_children <- t.inner_children - 1
   | _ -> ());
   removed
 
@@ -452,25 +461,29 @@ let key_le_hi bound k =
 
 let in_range r k = key_ge_lo r.lo k && key_le_hi r.hi k
 
-(* Leftmost child that may hold an in-range key. *)
-let low_child (n : internal) lo =
-  match lo with
+(* Length of the prefix of sorted [d] whose keys compare below [k]:
+   strictly when [lt = 0], or equal too when [lt = 1].  Binary search
+   finds the same index a linear count would, because the prefix order
+   keeps [compare_key key k < lt] monotone along sorted entries. *)
+let count_below (d : entry Dynarray.t) k lt =
+  let lo = ref 0 and hi = ref (Dynarray.length d) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_key (fst (Dynarray.get d mid)) k < lt then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Entries of [d] that fail the low bound. *)
+let below_lo d = function
   | Unbounded -> 0
-  | Incl k ->
-      (* count separators with sep.key strictly below k *)
-      let rec count i =
-        if i >= Dynarray.length n.seps then i
-        else if compare_key (fst (Dynarray.get n.seps i)) k < 0 then count (i + 1)
-        else i
-      in
-      count 0
-  | Excl k ->
-      let rec count i =
-        if i >= Dynarray.length n.seps then i
-        else if compare_key (fst (Dynarray.get n.seps i)) k <= 0 then count (i + 1)
-        else i
-      in
-      count 0
+  | Incl k -> count_below d k 0
+  | Excl k -> count_below d k 1
+
+(* Entries of [d] that pass the high bound. *)
+let within_hi d = function
+  | Unbounded -> Dynarray.length d
+  | Incl k -> count_below d k 1
+  | Excl k -> count_below d k 0
 
 (* --- cursor --------------------------------------------------------- *)
 
@@ -489,21 +502,16 @@ let descend_to_leaf t meter lo =
     touch t meter node;
     match node with
     | Leaf l -> l
-    | Internal n -> go (Dynarray.get n.children (low_child n lo))
+    | Internal n ->
+        (* leftmost child that may hold an in-range key *)
+        go (Dynarray.get n.children (below_lo n.seps lo))
   in
   go t.root
 
 let cursor t meter range =
   let l = descend_to_leaf t meter range.lo in
-  let pos =
-    (* First entry satisfying the low bound within this leaf. *)
-    let rec find i =
-      if i >= Dynarray.length l.entries then i
-      else if key_ge_lo range.lo (fst (Dynarray.get l.entries i)) then i
-      else find (i + 1)
-    in
-    find 0
-  in
+  (* First entry satisfying the low bound within this leaf. *)
+  let pos = below_lo l.entries range.lo in
   { tree = t; meter; range; leaf = Some l; pos; served = 0; exhausted = false }
 
 let rec next c =
@@ -615,6 +623,21 @@ let view t meter node =
       Internal_view
         (Array.map fst (Dynarray.to_array n.seps), Dynarray.to_array n.children)
 
+let span t meter node r =
+  touch t meter node;
+  (* seps.(i) is the minimum entry of child i+1, so the separators below
+     a bound count the children wholly below it *)
+  let d = match node with Leaf l -> l.entries | Internal n -> n.seps in
+  let first = below_lo d r.lo in
+  (first, Int.max first (within_hi d r.hi))
+
+let is_leaf = function Leaf _ -> true | Internal _ -> false
+
+let child node i =
+  match node with
+  | Internal n -> Dynarray.get n.children i
+  | Leaf _ -> invalid_arg "Btree.child: leaf"
+
 let subtree_count _t node = node_total node
 
 (* --- validation ------------------------------------------------------ *)
@@ -677,4 +700,19 @@ let self_check t =
     | Leaf l -> Dynarray.get l.entries 0
     | Internal n -> min_entry (Dynarray.get n.children 0)
   in
-  match check t.root ~is_root:true ~depth:0 with Ok _ -> Ok () | Error e -> Error e
+  let check_shape () =
+    let leaves, internals, children =
+      fold_nodes
+        (fun (l, i, c) -> function
+          | Leaf _ -> (l + 1, i, c)
+          | Internal n -> (l, i + 1, c + Dynarray.length n.children))
+        (0, 0, 0) t.root
+    in
+    if (leaves, internals, children) <> (t.leaves, t.internals, t.inner_children) then
+      fail "shape counters: stored %d/%d/%d leaves/internals/children, actual %d/%d/%d"
+        t.leaves t.internals t.inner_children leaves internals children
+    else Ok ()
+  in
+  match check t.root ~is_root:true ~depth:0 with
+  | Ok _ -> check_shape ()
+  | Error e -> Error e

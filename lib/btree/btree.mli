@@ -28,7 +28,7 @@ val file_id : t -> int
 val compare_key : key -> key -> int
 (** Lexicographic; shorter keys compare as prefixes (a shorter key
     equal on its length compares equal), so partial keys can serve as
-    range bounds. *)
+    range bounds.  Allocates nothing. *)
 
 val compare_entry : key * Rid.t -> key * Rid.t -> int
 
@@ -37,6 +37,13 @@ val cardinality : t -> int
 
 val height : t -> int
 (** 1 for a tree that is a single leaf. *)
+
+(** {2 Shape}
+
+    The tree maintains its leaf count, internal-node count and the
+    total children of its internal nodes where nodes split, merge and
+    collapse, so these read counters in O(1) and never walk the tree
+    ({!self_check} verifies the counters against a walk). *)
 
 val node_count : t -> int
 val leaf_count : t -> int
@@ -47,7 +54,11 @@ val leaf_blocks : t -> int list
     file. *)
 
 val avg_leaf_entries : t -> float
+(** Cardinality over leaf count. *)
+
 val avg_internal_children : t -> float
+(** Children per internal node; the cardinality (at least 1) when the
+    tree is a single leaf. *)
 
 val insert : t -> Cost.t -> key -> Rid.t -> unit
 (** Duplicate (key, rid) pairs are ignored. *)
@@ -112,11 +123,26 @@ and node_ref
 
 val root : t -> node_ref
 val view : t -> Cost.t -> node_ref -> node_view
-(** Viewing a node charges one block access. *)
+(** Viewing a node charges one block access and copies its contents. *)
+
+val span : t -> Cost.t -> node_ref -> range -> int * int
+(** [span t meter node r] reads [node] in place — one charged block
+    access, no copy — and returns the slots [(first, past)] that may
+    hold keys in [r], each found by binary search.  In a leaf, entries
+    [first] to [past - 1] are exactly the in-range ones; in an internal
+    node, children [first] to [past] may hold in-range keys.  Always
+    [first <= past].  The cursor's descent uses the same search. *)
+
+val is_leaf : node_ref -> bool
+
+val child : node_ref -> int -> node_ref
+(** [child node i] is the [i]-th child of an internal node;
+    [Invalid_argument] on a leaf. *)
 
 val subtree_count : t -> node_ref -> int
 (** Maintained entry count of the subtree (free: stored in the
     parent-side ranking info; used by pseudo-ranked sampling). *)
 
 val self_check : t -> (unit, string) result
-(** Validate ordering, fill, linkage and count invariants. *)
+(** Validate ordering, fill, linkage and count invariants, including
+    the maintained shape counters against a walk of the tree. *)

@@ -1,4 +1,3 @@
-
 type result = {
   estimate : float;
   exact : bool;
@@ -6,49 +5,6 @@ type result = {
   k : int;
   nodes_visited : int;
 }
-
-(* Child span [lo_child, hi_child] of an internal node that may contain
-   in-range keys, from the separator keys (seps.(i) is the minimum key
-   of child i+1). *)
-let child_span (seps : Btree.key array) (range : Btree.range) =
-  let n = Array.length seps in
-  let lo_child =
-    match range.Btree.lo with
-    | Btree.Unbounded -> 0
-    | Btree.Incl k ->
-        let rec count i =
-          if i >= n then i
-          else if Btree.compare_key seps.(i) k < 0 then count (i + 1)
-          else i
-        in
-        count 0
-    | Btree.Excl k ->
-        let rec count i =
-          if i >= n then i
-          else if Btree.compare_key seps.(i) k <= 0 then count (i + 1)
-          else i
-        in
-        count 0
-  in
-  let hi_child =
-    match range.Btree.hi with
-    | Btree.Unbounded -> n
-    | Btree.Incl k ->
-        let rec count i =
-          if i >= n then i
-          else if Btree.compare_key seps.(i) k <= 0 then count (i + 1)
-          else i
-        in
-        count 0
-    | Btree.Excl k ->
-        let rec count i =
-          if i >= n then i
-          else if Btree.compare_key seps.(i) k < 0 then count (i + 1)
-          else i
-        in
-        count 0
-  in
-  (lo_child, Int.max lo_child hi_child)
 
 let range tree meter (r : Btree.range) =
   match (r.Btree.lo, r.Btree.hi) with
@@ -64,44 +20,26 @@ let range tree meter (r : Btree.range) =
         nodes_visited = 0;
       }
   | _ ->
-  let f =
-    (* Single average fanout as in the paper; geometric blend of leaf
-       fill and internal fill degenerates gracefully for tiny trees. *)
-    let leaf = Btree.avg_leaf_entries tree in
-    let inner = Btree.avg_internal_children tree in
-    if Btree.height tree <= 1 then Float.max 1.0 leaf
-    else Float.max 1.0 (sqrt (leaf *. inner))
-  in
-  let height = Btree.height tree in
   let rec descend node level visited =
-    match Btree.view tree meter node with
-    | Btree.Leaf_view entries ->
-        let k =
-          Array.fold_left
-            (fun acc (key, _) -> if Btree.in_range r key then acc + 1 else acc)
-            0 entries
-        in
-        { estimate = float_of_int k; exact = true; split_level = 1; k;
-          nodes_visited = visited + 1 }
-    | Btree.Internal_view (seps, children) ->
-        let lo_c, hi_c = child_span seps r in
-        if lo_c = hi_c then descend children.(lo_c) (level - 1) (visited + 1)
-        else begin
-          (* Split node found: k+1 children contain the range; the two
-             edge children jointly count as one full child. *)
-          let k = hi_c - lo_c in
-          let estimate = float_of_int k *. (f ** float_of_int (level - 2)) *.
-                         Btree.avg_leaf_entries tree
-          in
-          (* For split at level 2 the exponent is 0: k leaf-loads. *)
-          let estimate = if level = 2 then float_of_int k *. Btree.avg_leaf_entries tree
-                         else estimate
-          in
-          { estimate; exact = false; split_level = level; k;
-            nodes_visited = visited + 1 }
-        end
+    let first, past = Btree.span tree meter node r in
+    if Btree.is_leaf node then
+      let k = past - first in
+      { estimate = float_of_int k; exact = true; split_level = 1; k;
+        nodes_visited = visited + 1 }
+    else if first = past then descend (Btree.child node first) (level - 1) (visited + 1)
+    else begin
+      (* Split node found: k+1 children contain the range; the two
+         edge children jointly count as one full child.  A single
+         average fanout as in the paper: the geometric blend of leaf
+         fill and internal fill. *)
+      let k = past - first in
+      let leaf = Btree.avg_leaf_entries tree in
+      let f = Float.max 1.0 (sqrt (leaf *. Btree.avg_internal_children tree)) in
+      { estimate = float_of_int k *. (f ** float_of_int (level - 2)) *. leaf;
+        exact = false; split_level = level; k; nodes_visited = visited + 1 }
+    end
   in
-  descend (Btree.root tree) height 0
+  descend (Btree.root tree) (Btree.height tree) 0
 
 let estimate_only tree meter r = (range tree meter r).estimate
 

@@ -2,17 +2,28 @@
     (paper §5, Figure 5).
 
     Descend from the root along the path of nodes whose child span for
-    the range is a single child.  The lowest such node is the *split
-    node* at level [l] (leaves are level 1).  With [k+1] children of
-    the split node touching the range (the two edge children counted
-    as one, i.e. [k]), the estimate is
+    the range is a single child.  The first node whose span covers
+    more than one child is the *split node*, at level [l] (leaves are
+    level 1).  With [k+1] children of the split node touching the
+    range (the two edge children counted as one, i.e. [k]), the
+    estimate is
 
-      RangeRIDs ≈ k * f^(l-1)
+      RangeRIDs ≈ k * f^(l-2) * L
 
-    with [f] the average tree fanout.  At [l = 1] the in-range leaf
-    entries are counted exactly.  The estimate costs one root-to-split
-    path of node reads — it is "fast, well suited for small ranges,
-    and always up-to-date". *)
+    where [L] is the average leaf fill (entries per leaf), [C] the
+    average children per internal node, and [f = max 1 (sqrt (L * C))]
+    the single average fanout of the paper's [k * f^(l-1)].  Each of
+    the [l - 2] internal levels below a split child multiplies by [f];
+    the last level, the leaves, holds entries rather than children,
+    so it multiplies by [L] instead of [f] — at [l = 2] the estimate
+    is [k] leaf loads.  At [l = 1] the in-range leaf entries are
+    counted exactly.
+
+    The estimate costs one root-to-split path of node reads — it is
+    "fast, well suited for small ranges, and always up-to-date".  Each
+    node is read in place and its span found by binary search
+    ({!Btree.span}); [L] and [C] are the tree's maintained counters,
+    so nothing walks the tree. *)
 
 open Rdb_storage
 

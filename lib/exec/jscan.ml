@@ -267,7 +267,8 @@ let check_competition t st =
     if overrun && scan_cost > t.cfg.scan_cost_cap *. t.g then
       Some
         (Printf.sprintf
-           "scan cost %.1f exceeds %.0f%% of guaranteed best %.1f after overrunning its             estimate (direct)"
+           "scan cost %.1f exceeds %.0f%% of guaranteed best %.1f after overrunning its \
+            estimate (direct)"
            scan_cost
            (100.0 *. t.cfg.scan_cost_cap)
            t.g)

@@ -265,6 +265,184 @@ let test_estimate_selectivity_clamped () =
   let s = Estimate.selectivity t m Btree.full_range in
   check "selectivity <= 1" true (s <= 1.0 && s >= 0.9)
 
+(* --- maintained shape ----------------------------------------------------- *)
+
+(* Leaves, internal nodes and children of internal nodes, by walking
+   the tree through node copies. *)
+let walk_shape t =
+  let m = Rdb_storage.Cost.create () in
+  let rec go (l, i, c) node =
+    match Btree.view t m node with
+    | Btree.Leaf_view _ -> (l + 1, i, c)
+    | Btree.Internal_view (_, children) ->
+        Array.fold_left go (l, i + 1, c + Array.length children) children
+  in
+  go (0, 0, 0) (Btree.root t)
+
+(* The averages as a fold of the tree computes them. *)
+let walked_averages t =
+  let leaves, internals, children = walk_shape t in
+  let card = Btree.cardinality t in
+  let leaf =
+    if leaves = 0 then 0.0 else float_of_int card /. float_of_int leaves
+  in
+  let inner =
+    if internals = 0 then float_of_int (Int.max 1 card)
+    else float_of_int children /. float_of_int internals
+  in
+  (leaves, leaf, inner)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_shape step t =
+  assert_ok t;
+  let leaves, leaf, inner = walked_averages t in
+  check_int (step ^ ": leaf_count") leaves (Btree.leaf_count t);
+  check (step ^ ": avg_leaf_entries") true (same_bits leaf (Btree.avg_leaf_entries t));
+  check (step ^ ": avg_internal_children") true
+    (same_bits inner (Btree.avg_internal_children t))
+
+(* Delete a fanout-3 tree down to one leaf: leaf and internal merges
+   and repeated root collapses must each keep the counters equal to a
+   walk of the tree. *)
+let test_shape_counters_through_collapse () =
+  let t, m = fresh ~fanout:3 () in
+  let n = 300 in
+  let order = Array.init n Fun.id in
+  Rdb_util.Prng.shuffle (Rdb_util.Prng.create ~seed:5) order;
+  Array.iteri
+    (fun step i ->
+      Btree.insert t m (k i) (rid i);
+      check_shape (Printf.sprintf "insert %d" step) t)
+    order;
+  Rdb_util.Prng.shuffle (Rdb_util.Prng.create ~seed:6) order;
+  let collapses = ref 0 in
+  for step = 0 to n - 2 do
+    let i = order.(step) in
+    let before = Btree.height t in
+    check "deleted" true (Btree.delete t m (k i) (rid i));
+    if Btree.height t < before then incr collapses;
+    check_shape (Printf.sprintf "delete %d" step) t
+  done;
+  check_int "one leaf left" 1 (Btree.leaf_count t);
+  check_int "height 1" 1 (Btree.height t);
+  check "repeated root collapses" true (!collapses >= 3)
+
+(* --- estimate against the copy-and-scan reference ------------------------- *)
+
+(* The estimator as it read the tree before the in-place descent: each
+   node copied through [Btree.view], the child span counted by linear
+   scans over the separators, the leaf's in-range entries by a filter,
+   and the averages taken from a walk of the tree. *)
+let reference_child_span (seps : Btree.key array) (range : Btree.range) =
+  let count_while p =
+    let rec go i = if i < Array.length seps && p seps.(i) then go (i + 1) else i in
+    go 0
+  in
+  let lo_child =
+    match range.Btree.lo with
+    | Btree.Unbounded -> 0
+    | Btree.Incl k -> count_while (fun s -> Btree.compare_key s k < 0)
+    | Btree.Excl k -> count_while (fun s -> Btree.compare_key s k <= 0)
+  in
+  let hi_child =
+    match range.Btree.hi with
+    | Btree.Unbounded -> Array.length seps
+    | Btree.Incl k -> count_while (fun s -> Btree.compare_key s k <= 0)
+    | Btree.Excl k -> count_while (fun s -> Btree.compare_key s k < 0)
+  in
+  (lo_child, Int.max lo_child hi_child)
+
+let reference_estimate tree meter (r : Btree.range) ~leaf ~inner =
+  match (r.Btree.lo, r.Btree.hi) with
+  | Btree.Unbounded, Btree.Unbounded ->
+      { Estimate.estimate = float_of_int (Btree.cardinality tree); exact = true;
+        split_level = Btree.height tree; k = 1; nodes_visited = 0 }
+  | _ ->
+      let f =
+        if Btree.height tree <= 1 then Float.max 1.0 leaf
+        else Float.max 1.0 (sqrt (leaf *. inner))
+      in
+      let rec descend node level visited =
+        match Btree.view tree meter node with
+        | Btree.Leaf_view entries ->
+            let k =
+              Array.fold_left
+                (fun acc (key, _) -> if Btree.in_range r key then acc + 1 else acc)
+                0 entries
+            in
+            { Estimate.estimate = float_of_int k; exact = true; split_level = 1; k;
+              nodes_visited = visited + 1 }
+        | Btree.Internal_view (seps, children) ->
+            let lo_c, hi_c = reference_child_span seps r in
+            if lo_c = hi_c then descend children.(lo_c) (level - 1) (visited + 1)
+            else begin
+              let k = hi_c - lo_c in
+              let estimate =
+                if level = 2 then float_of_int k *. leaf
+                else float_of_int k *. (f ** float_of_int (level - 2)) *. leaf
+              in
+              { Estimate.estimate; exact = false; split_level = level; k;
+                nodes_visited = visited + 1 }
+            end
+      in
+      descend (Btree.root tree) (Btree.height tree) 0
+
+let meter_counts m =
+  Rdb_storage.Cost.
+    [ physical_reads m; logical_reads m; block_writes m; cpu_ops m ]
+
+(* Random trees (fanout 3-8, one- and two-column keys drawn from few
+   values, so runs of duplicates; NULLs; deletes after the inserts) and
+   random ranges (Incl / Excl / Unbounded bounds, partial keys, values
+   past both ends, hence empty and inverted ranges): [Estimate.range]
+   must equal the reference field by field, and charge the same counts
+   on a cold pool. *)
+let test_estimate_matches_reference () =
+  let deep_splits = ref 0 and leaf_counts = ref 0 and empties = ref 0 in
+  for seed = 1 to 120 do
+    let g = Rdb_util.Prng.create ~seed in
+    let draw = Rdb_util.Prng.int g in
+    let pool = Rdb_storage.Buffer_pool.create ~capacity:10_000 () in
+    let t = Btree.create ~fanout:(3 + draw 6) pool in
+    let m = Rdb_storage.Cost.create () in
+    let arity = 1 + draw 2 in
+    let value () = if draw 20 = 0 then Value.Null else Value.int (draw 15) in
+    let keys = Array.init (draw 600) (fun _ -> Array.init arity (fun _ -> value ())) in
+    Array.iteri (fun i key -> Btree.insert t m key (rid i)) keys;
+    Array.iteri (fun i key -> if draw 4 = 0 then ignore (Btree.delete t m key (rid i))) keys;
+    let _, leaf, inner = walked_averages t in
+    let bound () =
+      let key () = Array.init (1 + draw arity) (fun _ -> Value.int (draw 18 - 1)) in
+      match draw 3 with
+      | 0 -> Btree.Unbounded
+      | 1 -> Btree.Incl (key ())
+      | _ -> Btree.Excl (key ())
+    in
+    for case = 1 to 30 do
+      let r = { Btree.lo = bound (); hi = bound () } in
+      let what field = Printf.sprintf "seed %d case %d: %s" seed case field in
+      let m_ref = Rdb_storage.Cost.create () and m_new = Rdb_storage.Cost.create () in
+      Rdb_storage.Buffer_pool.flush pool;
+      let want = reference_estimate t m_ref r ~leaf ~inner in
+      Rdb_storage.Buffer_pool.flush pool;
+      let got = Estimate.range t m_new r in
+      let open Estimate in
+      check (what "estimate") true (same_bits want.estimate got.estimate);
+      check (what "exact") want.exact got.exact;
+      check_int (what "split_level") want.split_level got.split_level;
+      check_int (what "k") want.k got.k;
+      check_int (what "nodes_visited") want.nodes_visited got.nodes_visited;
+      Alcotest.(check (list int)) (what "meter") (meter_counts m_ref) (meter_counts m_new);
+      if (not got.exact) && got.split_level >= 3 then incr deep_splits;
+      if got.exact && got.nodes_visited >= 2 then incr leaf_counts;
+      if got.exact && got.k = 0 then incr empties
+    done
+  done;
+  check "splits above level 2 covered" true (!deep_splits > 0);
+  check "exact leaf counts below the root covered" true (!leaf_counts > 0);
+  check "empty ranges covered" true (!empties > 0)
+
 (* --- sampling ------------------------------------------------------------ *)
 
 let test_sampling_uniformity () =
@@ -425,6 +603,8 @@ let () =
           Alcotest.test_case "delete" `Quick test_delete;
           Alcotest.test_case "delete to empty" `Quick test_delete_to_empty;
           Alcotest.test_case "height" `Quick test_height_grows_logarithmically;
+          Alcotest.test_case "shape counters through collapse" `Quick
+            test_shape_counters_through_collapse;
           QCheck_alcotest.to_alcotest prop_matches_sorted_model;
         ] );
       ( "ranges",
@@ -445,6 +625,8 @@ let () =
           Alcotest.test_case "empty range exact zero" `Quick
             test_estimate_empty_range_exact_zero;
           Alcotest.test_case "selectivity clamp" `Quick test_estimate_selectivity_clamped;
+          Alcotest.test_case "matches copy-and-scan reference" `Quick
+            test_estimate_matches_reference;
         ] );
       ( "sampling",
         [

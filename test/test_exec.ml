@@ -294,6 +294,40 @@ let test_jscan_spills_with_tiny_budget () =
     (Trace.count trace (function Trace.List_spilled _ -> true | _ -> false) >= 1);
   check "rows correct despite spill" true (final_rids f pred outcome = oracle f pred)
 
+(* The direct criterion (§6): an inexact estimate of 1 entry for a range
+   of about half the table lets the scan overrun it, the two-stage
+   criterion cannot fire under switch_ratio 10, and a 0.01% cap on the
+   scan's own cost then discards it.  The reason text is pinned
+   character for character: it reaches traces and EXPLAIN ANALYZE. *)
+let test_jscan_direct_cap_reason () =
+  let f = fixture () in
+  let open Predicate in
+  let pred = "X" <% Value.int 50 in
+  let cand = { (candidate_for f "X_IDX" pred) with Scan.est = 1.0; est_exact = false } in
+  let cfg = { Jscan.default_config with switch_ratio = 10.0; scan_cost_cap = 1e-4 } in
+  let m = Rdb_storage.Cost.create () in
+  let trace = Trace.create () in
+  let j = Jscan.create f.table m cfg trace ~candidates:[ cand ] in
+  (match Jscan.run j with
+  | Jscan.Recommend_tscan _ -> ()
+  | Jscan.Rid_list _ -> Alcotest.fail "expected the only scan to be discarded");
+  let discarded = function
+    | Trace.Scan_discarded { index; reason } -> Some (index, reason)
+    | _ -> None
+  in
+  match List.filter_map discarded (Trace.events trace) with
+  | [ (index, reason) ] ->
+      Alcotest.(check string) "index" "X_IDX" index;
+      let scan_cost = Scanf.sscanf reason "scan cost %f" Fun.id in
+      Alcotest.(check string)
+        "reason"
+        (Printf.sprintf
+           "scan cost %.1f exceeds 0%% of guaranteed best %.1f after overrunning its \
+            estimate (direct)"
+           scan_cost (Jscan.guaranteed_best j))
+        reason
+  | _ -> Alcotest.fail "expected exactly one Scan_discarded event"
+
 let test_jscan_simultaneous_mode_correct () =
   let f = fixture () in
   let open Predicate in
@@ -666,6 +700,7 @@ let () =
           Alcotest.test_case "borrowing" `Quick test_jscan_borrowing;
           Alcotest.test_case "tiny budget spills" `Quick test_jscan_spills_with_tiny_budget;
           Alcotest.test_case "simultaneous mode" `Quick test_jscan_simultaneous_mode_correct;
+          Alcotest.test_case "direct cap reason" `Quick test_jscan_direct_cap_reason;
           QCheck_alcotest.to_alcotest prop_jscan_equals_tscan;
         ] );
       ( "uscan",

@@ -201,6 +201,48 @@ let test_yao_vs_simulation () =
   let formula = Yao.blocks ~n ~per_block:m ~k in
   check "formula matches simulation" true (Float.abs (simulated -. formula) < 2.0)
 
+(* Yao's formula as one loop over the k draws, with no table: the
+   reference the memoized [Yao.blocks] must match bit for bit. *)
+let yao_loop ~n ~per_block ~k =
+  if n <= 0 || per_block <= 0 || k <= 0 then 0.0
+  else begin
+    let b = (n + per_block - 1) / per_block in
+    if k >= n then float_of_int b
+    else begin
+      let m = per_block in
+      if n - m < k then float_of_int b
+      else begin
+        let log_miss = ref 0.0 in
+        for i = 0 to k - 1 do
+          log_miss :=
+            !log_miss
+            +. log (float_of_int (n - m - i))
+            -. log (float_of_int (n - i))
+        done;
+        float_of_int b *. (1.0 -. exp !log_miss)
+      end
+    end
+  end
+
+(* Interleaved calls over 40 (n, per_block) keys (more than the 16
+   tables kept, so the bound clears them), each key's k growing and
+   shrinking at random: table extension, table hits and the reset are
+   all exercised. *)
+let test_yao_matches_loop () =
+  let g = Prng.create ~seed:41 in
+  let keys =
+    Array.init 40 (fun _ -> (1 + Prng.int g 1200, 1 + Prng.int g 40))
+  in
+  let mismatches = ref 0 in
+  for _ = 1 to 6000 do
+    (* a few keys carry most calls, so tables are hit as well as built *)
+    let n, per_block = keys.(if Prng.int g 3 = 0 then Prng.int g 40 else Prng.int g 4) in
+    let k = if Prng.int g 4 = 0 then Prng.int g (n + 3) else Prng.int g (1 + (n / 8)) in
+    let got = Yao.blocks ~n ~per_block ~k and want = yao_loop ~n ~per_block ~k in
+    if Int64.bits_of_float got <> Int64.bits_of_float want then incr mismatches
+  done;
+  check_int "bit-identical to the loop" 0 !mismatches
+
 let () =
   Alcotest.run "rdb_util"
     [
@@ -240,5 +282,6 @@ let () =
           Alcotest.test_case "monotone" `Quick test_yao_monotone;
           Alcotest.test_case "per_block=1" `Quick test_yao_single_record_blocks;
           Alcotest.test_case "vs simulation" `Quick test_yao_vs_simulation;
+          Alcotest.test_case "matches the loop" `Quick test_yao_matches_loop;
         ] );
     ]
