@@ -102,7 +102,7 @@ let hybrid f =
   let rows, cost =
     drain_tactic m
       Tactic.(
-        distinct (Hashtbl.create 64) (orelse (fun () -> Fscan.step fscan) to_tscan))
+        distinct (Rdb_rid.Rid_set.create ()) (orelse (fun () -> Fscan.step fscan) to_tscan))
   in
   (rows, cost, !switched)
 

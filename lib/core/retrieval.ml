@@ -165,6 +165,9 @@ type cursor = {
   goal : Goal.t;
   goal_provenance : string;
   restriction : Predicate.t;  (** bound *)
+  compiled : Predicate.compiled;
+      (** [restriction], compiled once at open for the per-row tests
+          the cursor makes itself (the fast-first borrow) *)
   mutable machine : machine;  (** mutable: fault fallback swaps in a Tscan *)
   mutable tac : Tactic.t;
       (** the machine's behavior as a composed tactic (DESIGN.md §17);
@@ -184,7 +187,7 @@ type cursor = {
       (** inexact planned candidates awaiting an actual: paired with
           [Scan_completed] events at [close] and folded into the
           table's feedback store (empty unless [feedback_rate > 0.]) *)
-  delivered_rids : (Rid.t, unit) Hashtbl.t;
+  delivered_rids : Rid_set.t;
       (** every RID delivered so far, recorded by the [Tactic.distinct]
           wrapping [tac]: the Tscan fallback and the final stage skip
           them, and the foreground buffer caps count them *)
@@ -194,6 +197,8 @@ type cursor = {
           Consecutive-fault counting lives in the driver *)
   mutable inbox : (Rid.t * Row.t) list;
       (** batch rows not yet handed to [step] *)
+  mutable sink : Scan.batch -> unit;
+      (** moves a batch's rows into [inbox]; built once, at open *)
   mutable pending_bg : (Fault.failure -> unit) option;
       (** quarantine action for a fault surfaced by a background
           competitor this quantum; [None] means the fault is the
@@ -380,11 +385,11 @@ let make_stage2 c outcome =
         (Trace.Final_stage
            {
              rids = Array.length rids;
-             filtered_delivered = Hashtbl.length c.delivered_rids;
+             filtered_delivered = Rid_set.cardinal c.delivered_rids;
            });
       S_final
         (Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
-           ~exclude:(Hashtbl.mem c.delivered_rids))
+           ~exclude:(Rid_set.mem c.delivered_rids))
   | Jscan.Recommend_tscan _ -> S_tscan (Tscan.create c.table c.bgr_meter c.restriction)
 
 let fgr_cost c = Cost.total c.fgr_meter
@@ -430,7 +435,7 @@ let fast_first_phase1 c ff =
         match Jscan.borrow ff.ff_jscan with
         | None -> Scan.Continue
         | Some rid ->
-            if Hashtbl.mem c.delivered_rids rid then Scan.Continue
+            if Rid_set.mem c.delivered_rids rid then Scan.Continue
             else begin
               (* A faulted borrowed fetch is reported as a
                  *foreground* heap fault; the borrowed RID is not
@@ -442,10 +447,10 @@ let fast_first_phase1 c ff =
               | exception Fault.Injected f -> Scan.Failed f
               | None -> Scan.Continue
               | Some row ->
-                  if Predicate.eval c.restriction (Table.schema c.table) row then begin
+                  if Predicate.test c.compiled row then begin
                     (* [distinct] records [rid] as it passes; it
                        already counts toward the cap *)
-                    if Hashtbl.length c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap
+                    if Rid_set.cardinal c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap
                     then begin
                       ff.ff_active <- false;
                       Trace.emit c.trace
@@ -530,7 +535,7 @@ let index_only_fg c io =
   | Scan.Deliver _ as s ->
       (* [distinct] records this row as it passes; it already counts
          toward the cap *)
-      if Hashtbl.length c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap && io.io_bgr_active
+      if Rid_set.cardinal c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap && io.io_bgr_active
       then begin
         (* Foreground buffer overflow: the safer Sscan wins,
            Jscan terminates (§7 index-only). *)
@@ -627,12 +632,23 @@ let open_ ?(config = default_config) table (req : request) =
   let bgr_meter = Cost.create () in
   let est_meter = Cost.create () in
   let restriction = Predicate.simplify (Predicate.bind req.restriction req.env) in
+  let schema = Table.schema table in
+  (* Resolve every named column before planning: an unknown one fails
+     here, by name, whatever the table holds. *)
+  let compiled = Predicate.compile restriction schema in
+  let order_ids =
+    Array.of_list
+      (List.map
+         (fun col ->
+           match Schema.find schema col with
+           | Some i -> i
+           | None -> invalid_arg ("Retrieval.open_: unknown ORDER BY column " ^ col))
+         req.order_by)
+  in
   let goal, goal_provenance =
     Goal.resolve ?explicit:req.explicit_goal ?context:req.context
       ~default:config.default_goal ()
   in
-  let schema = Table.schema table in
-  let order_ids = Array.of_list (List.map (Schema.index_of schema) req.order_by) in
   let tactic, machine, classified_order, feedback_pending =
     if restriction = Predicate.False then (Cancelled, M_empty, false, [])
     else begin
@@ -705,6 +721,7 @@ let open_ ?(config = default_config) table (req : request) =
       goal;
       goal_provenance;
       restriction;
+      compiled;
       machine;
       tac = Tactic.halt;
       fgr_meter;
@@ -716,9 +733,10 @@ let open_ ?(config = default_config) table (req : request) =
       needs_sort;
       ordered_by_index = classified_order;
       feedback_pending;
-      delivered_rids = Hashtbl.create 64;
+      delivered_rids = Rid_set.create ();
       driver = None;
       inbox = [];
+      sink = ignore;
       pending_bg = None;
       aborted = None;
       deadline_hit = None;
@@ -729,6 +747,7 @@ let open_ ?(config = default_config) table (req : request) =
     }
   in
   c.tac <- tactic_of c;
+  c.sink <- (fun b -> c.inbox <- b.Scan.rows);
   c
 
 (* ------------------------------------------------------------------ *)
@@ -913,8 +932,7 @@ let quantum_raw c =
       if c.aborted <> None then `Exhausted
       else
         let progress =
-          Driver.pump (driver_of c) ~budget:c.cfg.batch_budget ~on_rows:(fun b ->
-              c.inbox <- b.Scan.rows)
+          Driver.pump (driver_of c) ~budget:c.cfg.batch_budget ~on_rows:c.sink
         in
         match c.inbox with
         | p :: rest ->

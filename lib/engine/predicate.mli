@@ -51,13 +51,64 @@ val is_bound : t -> bool
 val eval : t -> Schema.t -> Row.t -> bool
 (** Three-valued evaluation collapsed to "qualifies or not".  The
     restriction must be bound and its columns must exist in the
-    schema; raises [Unbound_param] / [Not_found] otherwise. *)
+    schema; raises [Unbound_param] / [Not_found] otherwise.
+
+    [eval] and [eval_maybe] are the reference interpreter: they resolve
+    every column by name on every call.  The engine's per-row paths
+    use {!compile} instead; tests and answer checks keep calling the
+    interpreter, so they stay independent of what they check. *)
 
 val eval_maybe : t -> Schema.t -> Row.t -> bool
 (** [false] only when the restriction definitely fails ([F]); [true]
     for [T] or [Unknown].  Used to pre-filter on synthetic rows built
     from index keys, where unreferenced columns read as NULL: a row may
     be rejected early only on definite evidence. *)
+
+(** {1 Compiled restrictions}
+
+    A restriction with its columns resolved to positions and its
+    operands to constants, once, for a cursor that tests it on every
+    row.  One three-valued core evaluates it over three layouts that
+    differ only in how a leaf reads its field:
+    - a decoded row ({!test});
+    - a heap slot's encoding, read in place through {!Row.field_offset}
+      and {!Row.compare_field} ({!test_encoded}): a scan decodes only
+      the records that match;
+    - an index key ({!test_key}), where a column outside the key reads
+      as NULL, exactly as on {!Rdb_exec.Scan.synthetic_row}.
+
+    On every layout the result equals {!eval} (the [_maybe] forms equal
+    {!eval_maybe}) on the corresponding row: NULL gives Unknown, Int
+    and Float compare through {!Value.compare}, and LIKE, IN, BETWEEN
+    with NULL bounds and column-to-column comparisons keep their
+    semantics (pinned against the interpreter by a qcheck property in
+    [test_engine.ml]). *)
+
+type compiled
+
+val compile : t -> Schema.t -> compiled
+(** Raises [Invalid_argument] naming the column when the restriction
+    references a column the schema lacks, and {!Unbound_param} when it
+    is not bound. *)
+
+val test : compiled -> Row.t -> bool
+val test_maybe : compiled -> Row.t -> bool
+
+val test_encoded : compiled -> Bytes.t -> bool
+(** On {!Row.encode}'s output.  Reads only the fields the restriction
+    needs; raises [Failure] where a read meets truncated or bad-tag
+    input. *)
+
+val test_encoded_maybe : compiled -> Bytes.t -> bool
+
+type compiled_key
+
+val compile_key : t -> Schema.t -> key_ids:int array -> compiled_key
+(** Compile for index keys whose [i]-th column is schema position
+    [key_ids.(i)].  Raises as {!compile} does. *)
+
+val test_key : compiled_key -> Value.t array -> bool
+val test_key_maybe : compiled_key -> Value.t array -> bool
 
 val simplify : t -> t
 (** Flatten nested And/Or, drop [True]/[False] units, fold constants.

@@ -6,7 +6,7 @@ type t = {
   table : Table.t;
   meter : Cost.t;
   rids : Rid.t array;
-  restriction : Predicate.t;
+  restriction : Predicate.compiled;
   exclude : Rid.t -> bool;
   cache : Heap_file.fetch_cache;
       (** sorted RIDs revisit pages back to back; valid for one batch
@@ -20,7 +20,7 @@ let create table meter ~rids ~restriction ~exclude =
     table;
     meter;
     rids;
-    restriction;
+    restriction = Predicate.compile restriction (Table.schema table);
     exclude;
     cache = Heap_file.fetch_cache ();
     pos = 0;
@@ -47,7 +47,7 @@ let step t =
           Scan.Continue
       | Some row ->
           t.pos <- t.pos + 1;
-          if Predicate.eval t.restriction (Table.schema t.table) row then
+          if Predicate.test t.restriction row then
             Scan.Deliver (rid, row)
           else Scan.Continue
     end

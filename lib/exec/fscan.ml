@@ -7,8 +7,10 @@ type t = {
   table : Table.t;
   meter : Cost.t;
   idx : Table.index;
-  restriction : Predicate.t;
-  prefilter : Predicate.t;  (** restriction part decidable on the key alone *)
+  restriction : Predicate.compiled;
+  prefilter : Predicate.compiled_key;
+      (** the restriction on the key alone: rejects only on definite
+          evidence, columns outside the key reading as NULL *)
   cursor : Btree.multi_cursor;
   cache : Heap_file.fetch_cache;
       (** page-handle cache for the record fetches; valid for one
@@ -29,8 +31,8 @@ let create table meter (cand : Scan.candidate) ~restriction =
     table;
     meter;
     idx = cand.Scan.idx;
-    restriction;
-    prefilter = restriction;
+    restriction = Predicate.compile restriction (Table.schema table);
+    prefilter = Scan.compile_key table cand.Scan.idx restriction;
     cursor = Btree.multi_cursor cand.Scan.idx.Table.tree meter cand.Scan.ranges;
     cache = Heap_file.fetch_cache ();
     filter = None;
@@ -59,11 +61,9 @@ let step t =
   | exception Fault.Injected f -> Scan.Failed f
   | None -> Scan.Done
   | Some (key, rid) ->
-      let schema = Table.schema t.table in
-      let synth = Scan.synthetic_row t.table t.idx key in
       (* Reject on the key alone when the restriction definitely
          fails, then through the background filter, then fetch. *)
-      if not (Predicate.eval_maybe t.prefilter schema synth) then begin
+      if not (Predicate.test_key_maybe t.prefilter key) then begin
         t.pending <- None;
         Scan.Continue
       end
@@ -83,7 +83,7 @@ let step t =
             | Some row ->
                 t.pending <- None;
                 t.fetched <- t.fetched + 1;
-                if Predicate.eval t.restriction schema row then Scan.Deliver (rid, row)
+                if Predicate.test t.restriction row then Scan.Deliver (rid, row)
                 else begin
                   t.rejected <- t.rejected + 1;
                   Scan.Continue

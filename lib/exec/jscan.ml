@@ -32,6 +32,7 @@ type outcome = Rid_list of Rid.t array | Recommend_tscan of string
 
 type scan_state = {
   cand : Scan.candidate;
+  residual : Predicate.compiled_key;  (** [cand]'s residual, on its keys *)
   cursor : Btree.multi_cursor;
   list : Rid_list.t;
   mutable accepted : int;
@@ -112,6 +113,7 @@ let new_scan t cand =
   Trace.emit t.trace (Trace.Scan_started { index = cand.Scan.idx.Table.idx_name });
   {
     cand;
+    residual = Scan.compile_key t.table cand.Scan.idx cand.Scan.residual;
     cursor = Btree.multi_cursor cand.Scan.idx.Table.tree t.meter cand.Scan.ranges;
     list = Rid_list.create ~memory_budget:t.cfg.memory_budget (Table.pool t.table) t.meter;
     accepted = 0;
@@ -329,8 +331,7 @@ let advance_scan t st ~is_secondary =
       st.scanned <- st.scanned + 1;
       Cost.charge_cpu t.meter 1;
       let keep =
-        Predicate.eval_maybe st.cand.Scan.residual (Table.schema t.table)
-          (Scan.synthetic_row t.table st.cand.Scan.idx key)
+        Predicate.test_key_maybe st.residual key
         && match t.prev_filter with Some f -> Filter.mem f rid | None -> true
       in
       if keep then begin

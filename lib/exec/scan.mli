@@ -31,7 +31,12 @@ type candidate = {
 
 val synthetic_row : Table.t -> Table.index -> Btree.key -> Row.t
 (** A schema-width row with the index key columns filled in and NULL
-    elsewhere (for index-only evaluation and delivery). *)
+    elsewhere (for delivery from an index alone). *)
+
+val compile_key : Table.t -> Table.index -> Predicate.t -> Predicate.compiled_key
+(** A restriction compiled for the index's keys: testing a key gives
+    what evaluating the same restriction on its {!synthetic_row} gives,
+    without building the row.  Raises as {!Predicate.compile}. *)
 
 (** {1 Batch-quantum cursors}
 
@@ -41,10 +46,13 @@ val synthetic_row : Table.t -> Table.index -> Btree.key -> Row.t
     [budget] (checked {e before} each step, so the first step always
     runs and a single expensive step may overshoot), then yields the
     rows it delivered.  [budget = 0.] therefore reproduces the
-    one-step-per-quantum protocol exactly; larger budgets only
+    one-step-per-quantum protocol exactly — and, since charged cost
+    never decreases, such a batch ends after its one step without
+    reading the cost clock at all; larger budgets only
     coarsen {e when} control returns, never what is delivered, in
     what order, or what is charged — batching amortizes per-step
-    dispatch and buffer-pool residency probes, nothing else. *)
+    dispatch and buffer-pool residency probes, nothing else.  A batch
+    does not report its cost: callers that need it read their meters. *)
 
 type status =
   | More  (** budget (or step cap) reached; pump again *)
@@ -56,7 +64,6 @@ type status =
 
 type batch = {
   rows : (Rid.t * Row.t) list;  (** in delivery order *)
-  cost : float;  (** cost actually charged during the batch *)
   steps : int;  (** steps taken, including a final faulted one *)
   status : status;
 }
@@ -70,7 +77,9 @@ val cursor_of_step :
   (unit -> step) ->
   cursor
 (** Lift a step function into a cursor.  [cost ()] reads the charged
-    total the budget is clocked against; [max_steps] (default
+    total the budget is clocked against — once at the start of a batch
+    and once before each later step, and never when [budget <= 0.];
+    [max_steps] (default
     unlimited) additionally caps steps per batch (raises
     [Invalid_argument] if < 1); [on_yield] runs on every batch
     boundary — the hook cursors use to invalidate page-handle caches

@@ -6,7 +6,7 @@ type t = {
   table : Table.t;
   meter : Cost.t;
   idx : Table.index;
-  restriction : Predicate.t;
+  restriction : Predicate.compiled_key;
   cursor : Btree.multi_cursor;
   mutable delivered : int;
 }
@@ -20,7 +20,7 @@ let create table meter (cand : Scan.candidate) ~restriction =
     table;
     meter;
     idx = cand.Scan.idx;
-    restriction;
+    restriction = Scan.compile_key table cand.Scan.idx restriction;
     cursor = Btree.multi_cursor cand.Scan.idx.Table.tree meter cand.Scan.ranges;
     delivered = 0;
   }
@@ -33,10 +33,10 @@ let step t =
   | exception Fault.Injected f -> Scan.Failed f
   | None -> Scan.Done
   | Some (key, rid) ->
-      let row = Scan.synthetic_row t.table t.idx key in
-      if Predicate.eval t.restriction (Table.schema t.table) row then begin
+      (* Test the key; build the schema-width row only to deliver it. *)
+      if Predicate.test_key t.restriction key then begin
         t.delivered <- t.delivered + 1;
-        Scan.Deliver (rid, row)
+        Scan.Deliver (rid, Scan.synthetic_row t.table t.idx key)
       end
       else Scan.Continue
 

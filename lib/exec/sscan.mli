@@ -2,8 +2,10 @@
 
     When the index key contains every column the query touches, the
     index scan alone selects and delivers the result: no record
-    fetches ever.  Rows are delivered as synthetic rows (key columns
-    filled, the rest NULL), in index-key order. *)
+    fetches ever.  The restriction is tested on the key itself
+    ({!Scan.compile_key}); a qualifying entry is delivered as a
+    synthetic row (key columns filled, the rest NULL), in index-key
+    order. *)
 
 open Rdb_engine
 open Rdb_storage

@@ -70,11 +70,8 @@ let limit n tac =
 let distinct seen tac () =
   match tac () with
   | Scan.Deliver (rid, _) as s ->
-      (* One lookup per row: [replace] grows [seen] iff [rid] is new.
-         Every retrieval cursor runs under this, once per row. *)
-      let before = Hashtbl.length seen in
-      Hashtbl.replace seen rid ();
-      if Hashtbl.length seen > before then s else Scan.Continue
+      (* One bit test per row; every retrieval cursor runs under this. *)
+      if Rdb_rid.Rid_set.add seen rid then s else Scan.Continue
   | s -> s
 
 let with_policy policy inner =
@@ -82,9 +79,7 @@ let with_policy policy inner =
   {
     Scan.next_batch =
       (fun ~budget ->
-        let captured =
-          ref { Scan.rows = []; cost = 0.0; steps = 0; status = Scan.More }
-        in
+        let captured = ref { Scan.rows = []; steps = 0; status = Scan.More } in
         let progress = Driver.pump d ~budget ~on_rows:(fun b -> captured := b) in
         let status =
           match progress with

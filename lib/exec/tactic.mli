@@ -17,7 +17,6 @@
     leaves its position unchanged so the next call retries the same
     access. *)
 
-open Rdb_data
 open Rdb_storage
 
 type t = unit -> Scan.step
@@ -71,9 +70,11 @@ val limit : int -> t -> t
     [limit max_int] is the identity.  The static baselines'
     [?limit] ({!Rdb_core.Static_optimizer}, {!Rdb_core.Static_jscan}). *)
 
-val distinct : (Rid.t, unit) Hashtbl.t -> t -> t
+val distinct : Rdb_rid.Rid_set.t -> t -> t
 (** [distinct seen tac]: suppress (as [Continue]) any [Deliver] whose
     RID is already in [seen], recording delivered RIDs as they pass.
+    [seen] is an exact bitset ({!Rdb_rid.Rid_set}), so the per-row test
+    neither hashes nor compares a record.
     Makes overlapping {!orelse} arms safe: the fallback arm re-covers
     the faulted arm's ground without redelivering.  Identity when [tac]
     never repeats a RID and [seen] starts empty.  Every retrieval

@@ -1,10 +1,10 @@
+open Rdb_data
 open Rdb_engine
 open Rdb_storage
 
 type t = {
-  table : Table.t;
   meter : Cost.t;
-  restriction : Predicate.t;
+  restriction : Predicate.compiled;
   cursor : Heap_file.cursor;
   mutable examined : int;
   mutable finished : bool;
@@ -13,9 +13,8 @@ type t = {
 let create table meter restriction =
   if not (Predicate.is_bound restriction) then invalid_arg "Tscan.create: unbound restriction";
   {
-    table;
     meter;
-    restriction;
+    restriction = Predicate.compile restriction (Table.schema table);
     cursor = Heap_file.scan (Table.heap table) meter;
     examined = 0;
     finished = false;
@@ -24,18 +23,22 @@ let create table meter restriction =
 let step t =
   if t.finished then Scan.Done
   else begin
-    (* [Heap_file.next] loads pages before advancing its cursor, so a
-       faulted quantum leaves the scan where it was: stepping again
+    (* [Heap_file.advance] loads pages before advancing its cursor, so
+       a faulted quantum leaves the scan where it was: stepping again
        retries the same page. *)
-    match Heap_file.next t.cursor with
+    match Heap_file.advance t.cursor with
     | exception Fault.Injected f -> Scan.Failed f
-    | None ->
+    | false ->
         t.finished <- true;
         Scan.Done
-    | Some (rid, row) ->
+    | true ->
         t.examined <- t.examined + 1;
         Cost.charge_cpu t.meter 1;
-        if Predicate.eval t.restriction (Table.schema t.table) row then Scan.Deliver (rid, row)
+        (* Test the stored encoding; decode only a record that
+           qualifies.  Examining charges the same either way. *)
+        let bytes = Heap_file.encoding t.cursor in
+        if Predicate.test_encoded t.restriction bytes then
+          Scan.Deliver (Heap_file.rid t.cursor, Row.decode bytes)
         else Scan.Continue
   end
 

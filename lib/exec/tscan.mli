@@ -1,7 +1,10 @@
 (** Tscan — full sequential table scan (§4).
 
-    The classical fallback: reads every data page once, evaluates the
-    full restriction on every record, delivers immediately.  Its cost
+    The classical fallback: reads every data page once, tests the full
+    restriction on every record, delivers immediately.  The test reads
+    the record's stored encoding in place ({!Predicate.test_encoded});
+    only a qualifying record is decoded, and an examined record is
+    charged the same whether or not it is.  Its cost
     is flat and certain, which is exactly why it serves as the initial
     "guaranteed best" in Jscan's competition. *)
 

@@ -12,6 +12,7 @@ let default_config = { switch_ratio = 0.95; check_every = 32; memory_budget = 40
 
 type scan_state = {
   cand : Scan.candidate;
+  residual : Predicate.compiled_key;  (** [cand]'s residual, on its keys *)
   cursor : Btree.multi_cursor;
   mutable scanned : int;
   mutable accepted_here : int;
@@ -132,6 +133,7 @@ let rec step t =
                 Some
                   {
                     cand;
+                    residual = Scan.compile_key t.table cand.Scan.idx cand.Scan.residual;
                     cursor = Btree.multi_cursor cand.Scan.idx.Table.tree t.meter cand.Scan.ranges;
                     scanned = 0;
                     accepted_here = 0;
@@ -157,10 +159,7 @@ let rec step t =
               st.scanned <- st.scanned + 1;
               Cost.charge_cpu t.meter 1;
               match
-                if
-                  Predicate.eval_maybe st.cand.Scan.residual (Table.schema t.table)
-                    (Scan.synthetic_row t.table st.cand.Scan.idx key)
-                then begin
+                if Predicate.test_key_maybe st.residual key then begin
                   Rid_list.add t.union rid;
                   t.accepted <- t.accepted + 1;
                   st.accepted_here <- st.accepted_here + 1

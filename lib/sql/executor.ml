@@ -149,10 +149,14 @@ and run_single db env config summaries (sel : Ast.select) ~outer ?force_limit ()
   let rows, summary = Retrieval.run ?config ?limit:push_limit table req in
   summaries := !summaries @ [ (sel.Ast.table, summary) ];
   check_status summary;
-  let project row = List.map (fun c -> Row.get row (Schema.index_of schema c)) proj_cols in
+  let proj_ids = List.map (Schema.index_of schema) proj_cols in
+  let project row = List.map (Row.get row) proj_ids in
   match sel.Ast.projection with
   | Ast.Aggs aggs ->
-      let values col = List.map (fun r -> Row.get r (Schema.index_of schema col)) rows in
+      let values col =
+        let i = Schema.index_of schema col in
+        List.map (fun r -> Row.get r i) rows
+      in
       let non_null col = List.filter (fun v -> not (Value.is_null v)) (values col) in
       let numeric col =
         List.filter_map Value.as_float (non_null col)
@@ -335,13 +339,10 @@ and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
           rows
     in
     let combined = ref [] in
+    let join_pos = Option.map (fun (a_col, _) -> Schema.index_of sa a_col) !join_cond in
     List.iter
       (fun (a_row : Row.t) ->
-        let join_value =
-          match !join_cond with
-          | Some (a_col, _) -> Some (Row.get a_row (Schema.index_of sa a_col))
-          | None -> None
-        in
+        let join_value = Option.map (Row.get a_row) join_pos in
         match join_value with
         | Some Value.Null -> () (* NULL never joins *)
         | Some v ->
@@ -377,8 +378,8 @@ and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
       match post_pred with
       | Predicate.True -> rows
       | p ->
-          let schema = joined_schema ~sa ~sb ~a_name ~b_name in
-          List.filter (fun r -> Predicate.eval p schema r) rows
+          let p = Predicate.compile p (joined_schema ~sa ~sb ~a_name ~b_name) in
+          List.filter (Predicate.test p) rows
     in
     finalize_join db sel ~canon ~sa ~sb ~a_name ~b_name rows ?force_limit ()
   end
@@ -413,11 +414,15 @@ and finalize_join db sel ~canon ~sa ~sb ~a_name ~b_name rows ?force_limit () =
       List.stable_sort (Row.compare_at ids) rows
     end
   in
-  let project row = List.map (fun c -> Row.get row (Schema.index_of schema c)) proj_cols in
+  let proj_ids = List.map (Schema.index_of schema) proj_cols in
+  let project row = List.map (Row.get row) proj_ids in
   let projected =
     match sel.Ast.projection with
     | Ast.Aggs aggs ->
-        let values col = List.map (fun r -> Row.get r (Schema.index_of schema (canon col))) rows in
+        let values col =
+          let i = Schema.index_of schema (canon col) in
+          List.map (fun r -> Row.get r i) rows
+        in
         let non_null col = List.filter (fun v -> not (Value.is_null v)) (values col) in
         let numeric col = List.filter_map Value.as_float (non_null col) in
         let compute = function

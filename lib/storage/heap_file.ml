@@ -208,41 +208,49 @@ type cursor = {
   heap : t;
   meter : Cost.t;
   mutable page_no : int;
-  mutable slot : int;
+  mutable slot : int;  (* next slot to look at *)
   mutable loaded : page option;
+  mutable current : Bytes.t;  (* the live slot [advance] last stopped on *)
 }
 
-let scan t meter = { heap = t; meter; page_no = -1; slot = 0; loaded = None }
+let scan t meter =
+  { heap = t; meter; page_no = -1; slot = 0; loaded = None; current = Bytes.empty }
 
-let rec next c =
+let rec advance c =
   match c.loaded with
   | None ->
       let page_no = c.page_no + 1 in
-      if page_no >= page_count c.heap then None
+      if page_no >= page_count c.heap then false
       else begin
         (* Load before advancing the cursor: a faulted read leaves the
-           cursor unchanged, so re-calling [next] retries this page
+           cursor unchanged, so re-calling [advance] retries this page
            instead of silently skipping it. *)
         let loaded = get_page c.heap c.meter page_no in
         c.page_no <- page_no;
         c.slot <- 0;
         c.loaded <- loaded;
-        next c
+        advance c
       end
   | Some page ->
       if c.slot >= Dynarray.length page.slots then begin
         c.loaded <- None;
-        next c
+        advance c
       end
       else begin
         let slot = c.slot in
         c.slot <- slot + 1;
         match Dynarray.get page.slots slot with
-        | None -> next c
+        | None -> advance c
         | Some bytes ->
             Cost.charge_cpu c.meter 1;
-            Some (Rid.make ~page:c.page_no ~slot, Row.decode bytes)
+            c.current <- bytes;
+            true
       end
+
+let encoding c = c.current
+let rid c = Rid.make ~page:c.page_no ~slot:(c.slot - 1)
+
+let next c = if advance c then Some (rid c, Row.decode c.current) else None
 
 (* The corrupt-page exit (REPAIR TABLE): probe every page cold and
    rewrite the ones whose checksum verification fails — restamp the

@@ -64,10 +64,24 @@ val scan : t -> Cost.t -> cursor
 (** Page-at-a-time sequential cursor; each new page charges one
     access. *)
 
+val advance : cursor -> bool
+(** Step to the next live record in physical order, charging one cpu
+    op for it; [false] once the heap is exhausted.  Nothing is decoded:
+    {!encoding} and {!rid} read where the cursor stopped, so a scan
+    that tests the encoding first decodes only the records it keeps. *)
+
+val encoding : cursor -> Bytes.t
+(** The current record's stored encoding ({!Row.decode} reads it).
+    Shared with the page, not a copy: never mutate it. *)
+
+val rid : cursor -> Rid.t
+(** The current record's RID. *)
+
 val next : cursor -> (Rid.t * Row.t) option
-(** Next live record in physical order. *)
+(** {!advance}, then the current record decoded. *)
 
 val iter : t -> Cost.t -> (Rid.t -> Row.t -> unit) -> unit
+(** Every live record, decoded, in physical order. *)
 
 val rewrite_corrupt_pages : t -> Cost.t -> int
 (** The corrupt-page exit: evict the file (cold probe), read every

@@ -542,6 +542,39 @@ let test_empty_table_retrieval () =
   let rows2, _ = R.run table (R.request True) in
   check_int "no rows at all" 0 (List.length rows2)
 
+(* An unknown column fails at open, by name, whatever the table holds.
+   (Compiling the restriction at open is what catches it: on an empty
+   table the cursor used to report no rows and [Completed], and on
+   ORDERS the first fetch raised a bare [Not_found].) *)
+let test_unknown_column_fails_at_open () =
+  let open Predicate in
+  let names_nope f =
+    match f () with
+    | exception Invalid_argument msg ->
+        let rec has i =
+          i + 4 <= String.length msg && (String.sub msg i 4 = "NOPE" || has (i + 1))
+        in
+        has 0
+    | (_ : R.cursor) -> false
+  in
+  let db = Rdb_workload.Datasets.fresh_db () in
+  let orders = Rdb_workload.Datasets.orders ~rows:2000 db in
+  let empty =
+    Table.create (Rdb_storage.Buffer_pool.create ~capacity:16 ()) ~name:"EMPTY" schema
+  in
+  ignore (Table.create_index empty ~name:"X_IDX" ~columns:[ "X" ] ());
+  List.iter
+    (fun (label, table, indexed) ->
+      let opens req () = R.open_ table req in
+      check (label ^ ": restriction") true
+        (names_nope (opens (R.request ("NOPE" =% Value.int 1))));
+      check (label ^ ": AND with an indexed column") true
+        (names_nope
+           (opens (R.request (And [ indexed =% Value.int 1; "NOPE" =% Value.int 1 ]))));
+      check (label ^ ": ORDER BY") true
+        (names_nope (opens (R.request ~order_by:[ "NOPE" ] (indexed =% Value.int 1)))))
+    [ ("empty table", empty, "X"); ("ORDERS", orders, "PRODUCT") ]
+
 let test_union_all_branches_empty () =
   let table = fixture () in
   let open Predicate in
@@ -674,6 +707,8 @@ let () =
           Alcotest.test_case "limit zero" `Quick test_retrieval_limit_zero;
           Alcotest.test_case "close idempotent" `Quick test_cursor_close_is_idempotent;
           Alcotest.test_case "empty table" `Quick test_empty_table_retrieval;
+          Alcotest.test_case "unknown column fails at open" `Quick
+            test_unknown_column_fails_at_open;
           Alcotest.test_case "union all empty" `Quick test_union_all_branches_empty;
           Alcotest.test_case "static jscan thresholds" `Quick test_static_jscan_thresholds;
         ] );

@@ -125,6 +125,134 @@ let prop_simplify_preserves_eval =
       && Predicate.eval_maybe p schema r
          = Predicate.eval_maybe (Predicate.simplify p) schema r)
 
+(* qcheck: a compiled restriction equals the reference interpreter on
+   all three layouts.  Any column may hold any kind of value (an Int in
+   a Float column, nan, strings), constants and BETWEEN bounds may be
+   NULL, and every constructor appears. *)
+let wide_schema =
+  Schema.make
+    (List.map (fun c -> Schema.col ~nullable:true c Value.T_float) [ "C0"; "C1"; "C2"; "C3" ])
+
+let wide_columns = [| "C0"; "C1"; "C2"; "C3" |]
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        return Value.Null;
+        map Value.int (int_range (-2) 2);
+        map (fun i -> Value.float (float_of_int i)) (int_range (-2) 2);
+        map Value.float (float_range (-2.0) 2.0);
+        return (Value.float Float.nan);
+        map Value.str (string_size ~gen:(oneofl [ 'a'; 'b'; '1' ]) (int_range 0 3));
+      ])
+
+let gen_restriction =
+  let open QCheck.Gen in
+  let col = map (fun i -> wide_columns.(i)) (int_range 0 3) in
+  let op = oneofl Predicate.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  let const = map (fun v -> Predicate.Const v) gen_value in
+  let leaf =
+    oneof
+      [
+        oneofl [ Predicate.True; Predicate.False ];
+        map3 (fun c o v -> Predicate.Cmp (c, o, v)) col op const;
+        map3 (fun a o b -> Predicate.Cmp_col (a, o, b)) col op col;
+        map3 (fun c lo hi -> Predicate.Between (c, lo, hi)) col const const;
+        map2 (fun c vs -> Predicate.In_list (c, vs)) col (list_size (int_range 0 3) const);
+        map (fun c -> Predicate.Is_null c) col;
+        map (fun c -> Predicate.Is_not_null c) col;
+        map2
+          (fun c p -> Predicate.Like (c, p))
+          col
+          (string_size ~gen:(oneofl [ 'a'; 'b'; '1'; '%'; '_'; '.' ]) (int_range 0 4));
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (3, leaf);
+          (1, map (fun l -> Predicate.And l) (list_size (int_range 0 3) (tree (depth - 1))));
+          (1, map (fun l -> Predicate.Or l) (list_size (int_range 0 3) (tree (depth - 1))));
+          (1, map (fun p -> Predicate.Not p) (tree (depth - 1)));
+        ]
+  in
+  tree 3
+
+(* A key over a random non-empty column subset, in random order. *)
+let gen_key_ids =
+  QCheck.Gen.(
+    map2
+      (fun keep order ->
+        let ids = List.filteri (fun i _ -> List.nth keep i) [ 0; 1; 2; 3 ] in
+        let ids = if ids = [] then [ order mod 4 ] else ids in
+        let ids = Array.of_list ids in
+        let n = Array.length ids in
+        Array.init n (fun i -> ids.((i + order) mod n)))
+      (list_repeat 4 bool) (int_range 0 3))
+
+(* [Scan.synthetic_row] reads only the table's schema and the index's
+   key positions; the tree is never touched. *)
+let key_fixture =
+  lazy
+    (let pool = Rdb_storage.Buffer_pool.create ~capacity:16 () in
+     (Table.create pool ~name:"K" wide_schema, Rdb_btree.Btree.create pool))
+
+let prop_compiled_matches_interpreter =
+  QCheck.Test.make ~name:"compiled restriction equals the interpreter on every layout"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (p, row, ids) ->
+         Printf.sprintf "%s on %s, key [%s]" (Predicate.to_string p) (Row.to_string row)
+           (String.concat ";" (Array.to_list (Array.map string_of_int ids))))
+       QCheck.Gen.(
+         triple gen_restriction (map Array.of_list (list_repeat 4 gen_value)) gen_key_ids))
+    (fun (p, row, key_ids) ->
+      let c = Predicate.compile p wide_schema in
+      let expect = Predicate.eval p wide_schema row in
+      let expect_maybe = Predicate.eval_maybe p wide_schema row in
+      let bytes = Row.encode row in
+      let key = Row.project row key_ids in
+      let table, tree = Lazy.force key_fixture in
+      let idx =
+        {
+          Table.idx_name = "K_IDX";
+          key_columns = Array.to_list (Array.map (fun i -> wide_columns.(i)) key_ids);
+          key_ids;
+          tree;
+        }
+      in
+      let synth = Rdb_exec.Scan.synthetic_row table idx key in
+      let ck = Predicate.compile_key p wide_schema ~key_ids in
+      Predicate.test c row = expect
+      && Predicate.test_maybe c row = expect_maybe
+      && Predicate.test_encoded c bytes = expect
+      && Predicate.test_encoded_maybe c bytes = expect_maybe
+      && Predicate.test_key ck key = Predicate.eval p wide_schema synth
+      && Predicate.test_key_maybe ck key = Predicate.eval_maybe p wide_schema synth)
+
+let test_compile_rejects_unknown_column () =
+  let open Predicate in
+  let rejects p =
+    match compile p schema with
+    | exception Invalid_argument msg ->
+        let n = String.length "NOPE" in
+        let rec has i =
+          i + n <= String.length msg && (String.sub msg i n = "NOPE" || has (i + 1))
+        in
+        has 0
+    | _ -> false
+  in
+  check "unknown column named" true (rejects ("NOPE" =% Value.int 1));
+  check "inside AND" true (rejects (And [ "A" =% Value.int 1; "NOPE" =% Value.Null ]));
+  check "column-to-column" true (rejects (Cmp_col ("A", Eq, "NOPE")));
+  check "unbound parameter" true
+    (match compile (param_cmp "A" Eq "X") schema with
+    | exception Unbound_param "X" -> true
+    | _ -> false)
+
 (* --- range extraction ----------------------------------------------------- *)
 
 let mk_table () =
@@ -488,6 +616,9 @@ let () =
           Alcotest.test_case "bind params" `Quick test_bind_params;
           Alcotest.test_case "simplify" `Quick test_simplify;
           QCheck_alcotest.to_alcotest prop_simplify_preserves_eval;
+          QCheck_alcotest.to_alcotest prop_compiled_matches_interpreter;
+          Alcotest.test_case "compile rejects unknown column" `Quick
+            test_compile_rejects_unknown_column;
         ] );
       ( "predicate-edges",
         [

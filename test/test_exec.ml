@@ -73,6 +73,69 @@ let drain step_fn =
   in
   loop ()
 
+(* --- three-valued logic at the scans ----------------------------------------- *)
+
+(* Tscan tests each record's stored encoding and Sscan/Fscan each index
+   key, through the compiled restriction; with NULLs in the data every
+   scan must keep exactly the rows the reference interpreter keeps. *)
+let null_schema =
+  Schema.make
+    [
+      Schema.col "ID" Value.T_int;
+      Schema.col ~nullable:true "B" Value.T_int;
+      Schema.col ~nullable:true "S" Value.T_str;
+    ]
+
+let test_scans_keep_three_valued_logic () =
+  let pool = Rdb_storage.Buffer_pool.create ~capacity:256 () in
+  let table = Table.create ~page_bytes:1024 pool ~name:"N" null_schema in
+  for i = 0 to 599 do
+    ignore
+      (Table.insert table
+         [|
+           Value.int i;
+           (if i mod 4 = 0 then Value.Null else Value.int (i mod 10));
+           (if i mod 3 = 0 then Value.Null else Value.str (Printf.sprintf "s%d" (i mod 7)));
+         |])
+  done;
+  let idx = Table.create_index table ~name:"B_IDX" ~columns:[ "B" ] () in
+  let m = Rdb_storage.Cost.create () in
+  let reference pred =
+    let out = ref [] in
+    Rdb_storage.Heap_file.iter (Table.heap table) m (fun rid row ->
+        if Predicate.eval pred null_schema row then out := rid :: !out);
+    List.sort Rid.compare !out
+  in
+  let open Predicate in
+  let b_in_1_null = In_list ("B", [ Const (Value.int 1); Const Value.Null ]) in
+  let b_from_null = Between ("B", Const Value.Null, Const (Value.int 5)) in
+  List.iter
+    (fun (label, pred) ->
+      let expect = reference pred in
+      let cand =
+        { Scan.idx; ranges = [ Btree.full_range ]; residual = pred; est = 0.0;
+          est_exact = false }
+      in
+      let tscan = Tscan.create table m pred in
+      check (label ^ ": tscan") true (drain (fun () -> Tscan.step tscan) = expect);
+      let fscan = Fscan.create table m cand ~restriction:pred in
+      check (label ^ ": fscan") true (drain (fun () -> Fscan.step fscan) = expect);
+      if columns pred = [ "B" ] then begin
+        let sscan = Sscan.create table m cand ~restriction:pred in
+        check (label ^ ": sscan") true (drain (fun () -> Sscan.step sscan) = expect)
+      end)
+    [
+      ("B = 3", "B" =% Value.int 3);
+      ("NOT B = 3", Not ("B" =% Value.int 3));
+      ("B IS NULL", Is_null "B");
+      ("B IN (1, NULL)", b_in_1_null);
+      ("NOT B IN (1, NULL)", Not b_in_1_null);
+      ("B BETWEEN NULL AND 5", b_from_null);
+      ("NOT B BETWEEN NULL AND 5", Not b_from_null);
+      ("S LIKE 's1%' OR B > 7", Or [ Like ("S", "s1%"); "B" >% Value.int 7 ]);
+      ("NOT S LIKE 's1%'", Not (Like ("S", "s1%")));
+    ]
+
 (* --- tscan --------------------------------------------------------------- *)
 
 let test_tscan_matches_oracle () =
@@ -653,6 +716,69 @@ let prop_cursor_batch_invariant =
       let reference = run None in
       List.for_all (fun b -> run (Some b) = reference) [ 1.0; 7.0; 64.0 ])
 
+(* A scripted step stream under a scripted clock: each step charges one
+   unit, and [reads] counts every time the cursor looks at the clock. *)
+let scripted_cursor script =
+  let script = ref script and spent = ref 0 and reads = ref 0 in
+  let step () =
+    match !script with
+    | [] -> Scan.Done
+    | s :: rest ->
+        script := rest;
+        incr spent;
+        s
+  in
+  let cursor =
+    Scan.cursor_of_step
+      ~cost:(fun () ->
+        incr reads;
+        float_of_int !spent)
+      step
+  in
+  (cursor, reads)
+
+let scripted_rid i = Rdb_data.Rid.make ~page:0 ~slot:i
+let scripted_deliver i = Scan.Deliver (scripted_rid i, [| Value.int i |])
+
+(* (steps, delivered slots, exhausted) per batch, pumped to exhaustion. *)
+let batch_shapes cursor ~budget =
+  let rec loop acc =
+    let b = cursor.Scan.next_batch ~budget in
+    let shape =
+      ( b.Scan.steps,
+        List.map (fun ((r : Rdb_data.Rid.t), _) -> r.slot) b.Scan.rows,
+        b.Scan.status = Scan.Exhausted )
+    in
+    if b.Scan.status = Scan.Exhausted then List.rev (shape :: acc) else loop (shape :: acc)
+  in
+  loop []
+
+let batch_script =
+  [ scripted_deliver 1; Scan.Continue; scripted_deliver 2; scripted_deliver 3; Scan.Continue;
+    scripted_deliver 4; scripted_deliver 5 ]
+
+let test_budget_zero_reads_no_clock () =
+  let cursor, reads = scripted_cursor batch_script in
+  let shapes = batch_shapes cursor ~budget:0.0 in
+  check_int "no clock read at budget 0" 0 !reads;
+  check "one step per batch" true
+    (shapes
+    = [ (1, [ 1 ], false); (1, [], false); (1, [ 2 ], false); (1, [ 3 ], false);
+        (1, [], false); (1, [ 4 ], false); (1, [ 5 ], false); (1, [], true) ])
+
+(* A positive budget ends a batch once the clock has advanced by it
+   (checked before each step, never before the first), so at 2.5 units
+   and one unit per step a batch is three steps. *)
+let test_positive_budget_boundaries () =
+  let cursor, reads = scripted_cursor batch_script in
+  let shapes = batch_shapes cursor ~budget:2.5 in
+  check "three steps per batch, rows in delivery order" true
+    (shapes = [ (3, [ 1; 2 ], false); (3, [ 3; 4 ], false); (2, [ 5 ], true) ]);
+  check "the clock is read" true (!reads > 0);
+  let cursor, _ = scripted_cursor batch_script in
+  check "an unbounded budget drains in one batch" true
+    (batch_shapes cursor ~budget:infinity = [ (8, [ 1; 2; 3; 4; 5 ], true) ])
+
 (* --- cost model --------------------------------------------------------------- *)
 
 let test_cost_model_orders () =
@@ -672,6 +798,8 @@ let () =
         [
           Alcotest.test_case "matches oracle" `Quick test_tscan_matches_oracle;
           Alcotest.test_case "flat cost" `Quick test_tscan_cost_is_flat;
+          Alcotest.test_case "three-valued logic on NULLs" `Quick
+            test_scans_keep_three_valued_logic;
         ] );
       ( "sscan",
         [
@@ -738,6 +866,9 @@ let () =
           Alcotest.test_case "fault sequence invariant across budgets" `Quick
             test_cursor_fault_sequence_invariant;
           QCheck_alcotest.to_alcotest prop_cursor_batch_invariant;
+          Alcotest.test_case "budget 0 reads no clock" `Quick test_budget_zero_reads_no_clock;
+          Alcotest.test_case "positive budgets keep boundaries" `Quick
+            test_positive_budget_boundaries;
         ] );
       ("cost_model", [ Alcotest.test_case "orderings" `Quick test_cost_model_orders ]);
     ]

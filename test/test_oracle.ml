@@ -148,7 +148,7 @@ let hybrid_strategy table bound () =
   let fscan = Fscan.create table m cand ~restriction:bound in
   let to_tscan _ = let t = Tscan.create table m bound in fun () -> Tscan.step t in
   drain_tactic m
-    Tactic.(distinct (Hashtbl.create 64) (orelse (fun () -> Fscan.step fscan) to_tscan))
+    Tactic.(distinct (Rdb_rid.Rid_set.create ()) (orelse (fun () -> Fscan.step fscan) to_tscan))
 
 (* The seed composes 2–3 random combinators around a Tscan; each wrap
    is an identity by its .mli law, so the composition must still match
@@ -158,7 +158,7 @@ let wrap_random rng tac =
     match Prng.int rng 5 with
     | 0 -> Tactic.limit max_int tac
     | 1 -> Tactic.preempt (fun () -> None) tac
-    | 2 -> Tactic.distinct (Hashtbl.create 16) tac
+    | 2 -> Tactic.distinct (Rdb_rid.Rid_set.create ()) tac
     | 3 -> Tactic.then_ tac (fun () -> Tactic.halt)
     | _ -> Tactic.race ~choose:(fun () -> `Left) ~left:tac ~right:Tactic.halt
   in

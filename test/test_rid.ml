@@ -177,6 +177,53 @@ let prop_sorted_array_matches_model =
       in
       List.length got = List.length want && List.for_all2 Rid.equal got want)
 
+(* --- exact RID set --------------------------------------------------------- *)
+
+(* Pages and slots span several growth steps of the page array and of
+   each page's bit string; the small ranges make duplicate adds common. *)
+let prop_rid_set_matches_model =
+  QCheck.Test.make ~name:"Rid_set matches a Hashtbl model" ~count:200
+    QCheck.(list (pair (int_range 0 40) (int_range 0 300)))
+    (fun pairs ->
+      let set = Rid_set.create () and model = Hashtbl.create 16 in
+      let each_add =
+        List.for_all
+          (fun (page, slot) ->
+            let r = Rid.make ~page ~slot in
+            let fresh = not (Hashtbl.mem model r) in
+            Hashtbl.replace model r ();
+            Rid_set.add set r = fresh
+            && Rid_set.mem set r
+            && Rid_set.cardinal set = Hashtbl.length model)
+          pairs
+      in
+      let every_probe =
+        List.for_all
+          (fun page ->
+            List.for_all
+              (fun slot ->
+                let r = Rid.make ~page ~slot in
+                Rid_set.mem set r = Hashtbl.mem model r)
+              (List.init 310 Fun.id))
+          (List.init 45 Fun.id)
+      in
+      each_add && every_probe)
+
+let test_rid_set_rejects_negative () =
+  let set = Rid_set.create () in
+  let rejects f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let add ~page ~slot () = Rid_set.add set (Rid.make ~page ~slot) in
+  let mem ~page ~slot () = Rid_set.mem set (Rid.make ~page ~slot) in
+  check "add negative page" true (rejects (add ~page:(-1) ~slot:0));
+  check "add negative slot" true (rejects (add ~page:0 ~slot:(-3)));
+  check "mem negative page" true (rejects (mem ~page:(-2) ~slot:1));
+  check "mem negative slot" true (rejects (mem ~page:3 ~slot:(-1)));
+  check_int "nothing added" 0 (Rid_set.cardinal set)
+
 let () =
   Alcotest.run "rdb_rid"
     [
@@ -202,5 +249,10 @@ let () =
           Alcotest.test_case "sealed" `Quick test_add_after_seal_rejected;
           Alcotest.test_case "filter membership" `Quick test_filter_membership_matches_contents;
           QCheck_alcotest.to_alcotest prop_sorted_array_matches_model;
+        ] );
+      ( "rid_set",
+        [
+          QCheck_alcotest.to_alcotest prop_rid_set_matches_model;
+          Alcotest.test_case "negative rid rejected" `Quick test_rid_set_rejects_negative;
         ] );
     ]

@@ -162,14 +162,14 @@ let test_limit () =
     | (_ : Tactic.t) -> false)
 
 let test_distinct () =
-  let seen = Hashtbl.create 8 in
+  let seen = Rdb_rid.Rid_set.create () in
   let tac =
     Tactic.distinct seen
       (of_script [ deliver 1; deliver 2; deliver 1; deliver 3 ])
   in
   check "repeats suppressed as Continue" true
     (stream tac = [ deliver 1; deliver 2; Scan.Continue; deliver 3; Scan.Done ]);
-  check "delivered rids recorded" true (Hashtbl.mem seen (rid 2));
+  check "delivered rids recorded" true (Rdb_rid.Rid_set.mem seen (rid 2));
   (* pre-seeded rids are suppressed too: overlapping orelse arms *)
   let tac2 = Tactic.distinct seen (of_script [ deliver 3; deliver 4 ]) in
   check "pre-seeded rids suppressed" true
