@@ -207,8 +207,8 @@ let run () =
   Printf.printf "concurrent total cost within 3x of serial (%.2fx): %b\n" overhead
     (overhead <= 3.0);
   Printf.printf "no starvation at max admission (max gap %d <= bound %d): %b\n"
-    max_gap_all S.default_config.S.starvation_bound
-    (max_gap_all <= S.default_config.S.starvation_bound
+    max_gap_all S.starvation_bound
+    (max_gap_all <= S.starvation_bound
     && List.for_all
          (fun s ->
            match s.S.s_summary with

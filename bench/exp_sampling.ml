@@ -45,7 +45,7 @@ let run () =
         let rng = Rdb_util.Prng.create ~seed:67 in
         let ranked = Sampling.ranked rng t (Rdb_storage.Cost.create ()) ~n:size in
         let rng = Rdb_util.Prng.create ~seed:67 in
-        let ar = Sampling.acceptance_rejection rng t (Rdb_storage.Cost.create ()) ~n:size () in
+        let ar = Sampling.acceptance_rejection rng t (Rdb_storage.Cost.create ()) ~n:size in
         [
           [
             string_of_int size; "pseudo-ranked";
@@ -70,7 +70,7 @@ let run () =
   Bench_common.subsection "paper checkpoints";
   let rng = Rdb_util.Prng.create ~seed:71 in
   let ranked = Sampling.ranked rng t (Rdb_storage.Cost.create ()) ~n:1000 in
-  let ar = Sampling.acceptance_rejection rng t (Rdb_storage.Cost.create ()) ~n:1000 () in
+  let ar = Sampling.acceptance_rejection rng t (Rdb_storage.Cost.create ()) ~n:1000 in
   Printf.printf
     "pseudo-ranked needs ~%.0fx fewer node visits than acceptance/rejection: %b\n"
     (float_of_int ar.Sampling.nodes_visited /. float_of_int ranked.Sampling.nodes_visited)

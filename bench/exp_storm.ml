@@ -318,7 +318,6 @@ let run () =
     p.S.p_lookup_balance;
 
   (* --- checkpoints ---------------------------------------------------- *)
-  let bound = (storm_config ~shed_policy:S.Shed_largest_quota ~pool_shards:None).S.starvation_bound in
   Bench_common.subsection "paper checkpoints";
   Printf.printf "storm scale >= 1024 sessions (%d submitted): %b\n" p.S.p_submitted
     (p.S.p_submitted >= min scale 1024 && p.S.p_submitted = count);
@@ -334,7 +333,7 @@ let run () =
     p.S.p_lookup_balance p.S.p_shards
     (p.S.p_shards = 8 && p.S.p_lookup_balance <= 1.5);
   Printf.printf "starvation bound holds under storm (max gap %d <= bound %d): %b\n"
-    max_gap bound (max_gap <= bound);
+    max_gap S.starvation_bound (max_gap <= S.starvation_bound);
   Printf.printf
     "rows and order invariant across shard counts {1,2,8} (%d sessions served under \
      all): %b\n"

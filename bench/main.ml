@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every quantitative artifact of the
    paper (figures 2.1, 2.2, 5; the hyperbola-fit and §3 competition
-   numbers; the §4-§7 performance claims) plus ablations and bechamel
-   micro-benchmarks.
+   numbers; the §4-§7 performance claims) plus ablations.
 
      dune exec bench/main.exe            # run everything
      dune exec bench/main.exe -- -l      # list experiments
@@ -35,7 +34,6 @@ let experiments : (string * string * (unit -> unit)) list =
     (Exp_batch.name, Exp_batch.description, Exp_batch.run);
     (Exp_feedback.name, Exp_feedback.description, Exp_feedback.run);
     (Exp_hybrid.name, Exp_hybrid.description, Exp_hybrid.run);
-    (Exp_micro.name, Exp_micro.description, Exp_micro.run);
   ]
 
 let list_experiments () =

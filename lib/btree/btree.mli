@@ -30,8 +30,6 @@ val compare_key : key -> key -> int
     equal on its length compares equal), so partial keys can serve as
     range bounds.  Allocates nothing. *)
 
-val compare_entry : key * Rid.t -> key * Rid.t -> int
-
 val cardinality : t -> int
 (** Number of (key, rid) entries. *)
 

@@ -41,8 +41,6 @@ let range tree meter (r : Btree.range) =
   in
   descend (Btree.root tree) (Btree.height tree) 0
 
-let estimate_only tree meter r = (range tree meter r).estimate
-
 let selectivity tree meter r =
   let card = Btree.cardinality tree in
   if card = 0 then 0.0

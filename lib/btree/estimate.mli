@@ -41,9 +41,6 @@ val ranges : Btree.t -> Cost.t -> Btree.range list -> result
 (** Sum of per-range descents (disjoint ranges assumed); exact iff
     every component was exact. *)
 
-val estimate_only : Btree.t -> Cost.t -> Btree.range -> float
-(** Just the estimate. *)
-
 val selectivity : Btree.t -> Cost.t -> Btree.range -> float
 (** Estimate divided by the tree cardinality, clamped to [0,1];
     0 for an empty tree. *)

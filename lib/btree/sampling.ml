@@ -8,8 +8,9 @@ type stats = {
   nodes_visited : int;
 }
 
-let acceptance_rejection rng tree meter ~n ?max_descents () =
-  let max_descents = match max_descents with Some m -> m | None -> 50 * Int.max 1 n in
+let acceptance_rejection rng tree meter ~n =
+  (* Bounds the retry loop on very unbalanced trees. *)
+  let max_descents = 50 * Int.max 1 n in
   let f = float_of_int (Btree.fanout tree) in
   let out = Dynarray.create () in
   let descents = ref 0 and nodes = ref 0 in

@@ -25,12 +25,10 @@ type stats = {
   nodes_visited : int;
 }
 
-val acceptance_rejection :
-  Rdb_util.Prng.t -> Btree.t -> Cost.t -> n:int -> ?max_descents:int -> unit -> stats
-(** Draw [n] (near-)uniform samples from the whole tree.
-    [max_descents] (default [50 * n]) bounds the retry loop on very
-    unbalanced trees; the result may then hold fewer than [n]
-    samples. *)
+val acceptance_rejection : Rdb_util.Prng.t -> Btree.t -> Cost.t -> n:int -> stats
+(** Draw [n] (near-)uniform samples from the whole tree.  At most
+    [50 * n] descents bound the retry loop on very unbalanced trees;
+    the result may then hold fewer than [n] samples. *)
 
 val ranked : Rdb_util.Prng.t -> Btree.t -> Cost.t -> n:int -> stats
 (** Draw [n] exactly-uniform samples (with replacement) using subtree

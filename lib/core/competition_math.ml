@@ -53,8 +53,6 @@ let quantile d p =
   in
   loop 0 0.0
 
-let run_to_completion_cost = mean
-
 let switch_cost ~try_ ~fallback ~switch_at =
   let completed = integrate (fun x -> if x <= switch_at then x *. try_.density x else 0.0) try_.cmax in
   let p_fail = 1.0 -. cdf try_ switch_at in

@@ -30,9 +30,6 @@ val mean_below : cost_dist -> float -> float
 
 val quantile : cost_dist -> float -> float
 
-val run_to_completion_cost : cost_dist -> float
-(** Expected cost of the traditional single-plan run (its mean). *)
-
 val switch_cost : try_:cost_dist -> fallback:cost_dist -> switch_at:float -> float
 (** Expected cost of: run [try_] until it either completes (cost ≤
     switch point) or hits [switch_at], then abandon and run [fallback]

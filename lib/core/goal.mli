@@ -16,13 +16,13 @@ type controlling_node =
   | Aggregate
   | Cursor  (** plain cursor / top-level result delivery *)
 
-val of_controlling_node : controlling_node -> t option
-(** The paper's rule; [Cursor] gives [None] (no inference). *)
-
 val resolve :
   ?explicit:t -> ?context:controlling_node -> default:t -> unit -> t * string
 (** Inference first, then the explicit user request, then the default.
-    Returns the goal and a human-readable provenance string.
+    Inference is the paper's rule: [Exists] and [Limit] give
+    [Fast_first], [Sort] and [Aggregate] give [Total_time], and
+    [Cursor] infers nothing.  Returns the goal and a human-readable
+    provenance string.
 
     Note the paper's precedence: the §4 example sets total-time for
     table B "because of SORT needed for distinct" even under an

@@ -33,9 +33,6 @@ type decision =
   | No_rows of string  (** empty range: cancel all stages *)
   | Arranged of classified
 
-val shortcut_threshold : int
-(** Estimates at or below this stop further estimation (16). *)
-
 val run :
   Table.t ->
   Cost.t ->
@@ -46,8 +43,9 @@ val run :
   order_by:string list ->
   decision
 (** [restriction] must be bound.  [needed_columns] is every column the
-    query must produce or examine (for self-sufficiency).  Updates the
-    table's preferred index order as a side effect.
+    query must produce or examine (for self-sufficiency).  An estimate
+    at or below 16 rows stops further estimation.  Updates the table's
+    preferred index order as a side effect.
 
     When [feedback_rate > 0.] every {i inexact} descent estimate is
     scaled by the table's learned {!Feedback} factor for that
@@ -58,3 +56,9 @@ val run :
     never corrected (correction is cost-only by construction).  At
     rate 0 (the default config) the path is byte-identical to the
     uncorrected one. *)
+
+val note_health : Table.t -> Trace.t -> Health.transition option -> unit
+(** Forward a health transition, if any, through
+    {!Rdb_engine.Table.note_transition} to the pool metrics and emit it
+    as a [Trace.Health_transition] event — the one place a transition
+    becomes a trace event, for planning, retrieval and repair alike. *)

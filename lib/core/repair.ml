@@ -12,8 +12,6 @@ type t = {
   key_of : Row.t -> Btree.key;
   meter : Cost.t;
   cursor : Heap_file.cursor;
-  batch : int;
-  retry_limit : int;
   trace : Trace.t;
   mutable pending : (Rid.t * Row.t) option;
       (* a row read from the heap whose insert faulted: replayed first *)
@@ -25,24 +23,13 @@ type t = {
   mutable result : bool option;
 }
 
-let default_batch = 64
-let default_retry_limit = 8
+(* Rows copied per step. *)
+let batch = 64
 
-let emit_transition t tr =
-  match Table.note_transition t.table tr with
-  | None -> ()
-  | Some tr ->
-      Trace.emit t.trace
-        (Trace.Health_transition
-           {
-             structure = tr.Health.tr_structure;
-             from_ = Health.state_to_string tr.Health.tr_from;
-             to_ = Health.state_to_string tr.Health.tr_to;
-             reason = tr.Health.tr_reason;
-           })
+(* Consecutive transient faults tolerated before the rebuild gives up. *)
+let retry_limit = 8
 
-let create ?(batch = default_batch) ?(retry_limit = default_retry_limit) table ~index =
-  if batch < 1 then invalid_arg "Repair.create: batch < 1";
+let create table ~index =
   let idx =
     match Table.find_index table index with
     | Some idx -> idx
@@ -70,8 +57,6 @@ let create ?(batch = default_batch) ?(retry_limit = default_retry_limit) table ~
       key_of = Table.index_key idx;
       meter;
       cursor = Heap_file.scan (Table.heap table) meter;
-      batch;
-      retry_limit;
       trace = Trace.create ();
       pending = None;
       entries = 0;
@@ -80,14 +65,13 @@ let create ?(batch = default_batch) ?(retry_limit = default_retry_limit) table ~
     }
   in
   Trace.emit t.trace (Trace.Repair_started { index });
-  emit_transition t (Health.begin_rebuild (Table.health table) index);
+  Initial_stage.note_health table t.trace
+    (Health.begin_rebuild (Table.health table) index);
   t
 
-let index_name t = t.index
 let entries t = t.entries
 let spent t = Cost.total t.meter
 let trace t = t.trace
-let result t = t.result
 
 let finish t ok =
   t.result <- Some ok;
@@ -101,7 +85,7 @@ let finish t ok =
     Table.replace_index t.table ~name:t.index t.new_tree
   end
   else Manifest.abort_rebuild manifest t.rebuild_id;
-  emit_transition t
+  Initial_stage.note_health t.table t.trace
     (Health.end_rebuild (Table.health t.table) ~now:(Table.now t.table) ~ok t.index);
   (match Buffer_pool.metrics (Table.pool t.table) with
   | None -> ()
@@ -153,7 +137,7 @@ let fault_policy t =
           (Trace.Fault_detected { site = "repair"; fault = Fault.describe f }))
       (stack
          [
-           bounded_retry ~limit:t.retry_limit ~penalize:(fun _ ~consec ->
+           bounded_retry ~limit:retry_limit ~penalize:(fun _ ~consec ->
                (* The i-th consecutive retry charges i physical reads. *)
                for _ = 1 to consec do
                  Cost.charge_physical t.meter
@@ -172,7 +156,7 @@ let pump_of t =
         Tactic.with_policy (fault_policy t)
           (Scan.cursor_of_step
              ~cost:(fun () -> Cost.total t.meter)
-             ~max_steps:t.batch
+             ~max_steps:batch
              (fun () -> copy_step t))
       in
       t.pump <- Some c;
@@ -187,10 +171,6 @@ let step t =
       | Scan.More -> `Working
       | Scan.Exhausted -> finish t true
       | Scan.Faulted _ -> finish t false)
-
-let run t =
-  let rec loop () = match step t with `Working -> loop () | `Done ok -> ok in
-  loop ()
 
 let grant t ~budget ~max_steps =
   let res = ref None in

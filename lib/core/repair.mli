@@ -8,47 +8,36 @@
     quanta like any other session.
 
     Lifecycle: {!create} moves the index to [Rebuilding] (it disappears
-    from planning); each {!step} copies a batch of rows into a fresh
-    tree, retrying transient heap faults with the same deterministic
-    backoff as retrieval; on success the new tree is atomically swapped
-    in ({!Rdb_engine.Table.replace_index} — pool label moved, stale
-    blocks evicted, cached estimation state reseeded) and the index
-    returns to [Healthy].  On a persistent heap fault the rebuild fails
+    from planning); each step of a {!grant} copies a batch of 64 rows
+    into a fresh tree, retrying up to 8 consecutive transient heap
+    faults with the same deterministic backoff as retrieval; on
+    success the new tree is atomically swapped in
+    ({!Rdb_engine.Table.replace_index} — pool label moved, stale blocks
+    evicted, cached estimation state reseeded) and the index returns
+    to [Healthy].  On a persistent heap fault the rebuild fails
     and the index goes back to [Quarantined] with an escalated
     backoff — degraded, but never absorbing: the re-probe path
     remains. *)
 
 type t
 
-val create : ?batch:int -> ?retry_limit:int -> Rdb_engine.Table.t -> index:string -> t
-(** Start rebuilding [index].  [batch] (default 64) rows are copied per
-    {!step}; [retry_limit] (default 8) bounds consecutive transient
-    faults before the rebuild gives up.  Raises [Invalid_argument] on
-    an unknown index name. *)
-
-val step : t -> [ `Working | `Done of bool ]
-(** One scheduler quantum of copying.  Idempotent after completion. *)
-
-val run : t -> bool
-(** Drive {!step} to completion (non-scheduled callers). *)
+val create : Rdb_engine.Table.t -> index:string -> t
+(** Start rebuilding [index].  Raises [Invalid_argument] on an unknown
+    index name. *)
 
 val grant : t -> budget:float -> max_steps:int -> bool option
-(** One scheduler grant: drive {!step} until [budget] worth of cost
-    has been charged since entry, [max_steps] steps ran, or the
+(** One scheduler grant: copy a batch per step until [budget] worth of
+    cost has been charged since entry, [max_steps] steps ran, or the
     rebuild finished (all checked before each step).  [Some ok] iff it
     finished during the grant.  This is
-    {!Rdb_exec.Driver.clocked_loop} over [step] — the same grant loop
-    the session scheduler uses for queries. *)
+    {!Rdb_exec.Driver.clocked_loop} over the copy step — the same
+    grant loop the session scheduler uses for queries. *)
 
-val index_name : t -> string
 val entries : t -> int
 (** Entries copied into the new tree so far. *)
 
 val spent : t -> float
 (** Cost charged by the rebuild so far. *)
-
-val result : t -> bool option
-(** [None] while working. *)
 
 val trace : t -> Rdb_exec.Trace.t
 (** Repair_started / retries / health transitions / Repair_done. *)

@@ -6,13 +6,7 @@ open Rdb_storage
 
 type config = {
   jscan : Jscan.config;
-  fgr_buffer_cap : int;
-  fgr_waste_cap : float;
   speed_ratio : float;
-  default_goal : Goal.t;
-  retry_limit : int;
-      (** consecutive faulted quanta tolerated before a transient fault
-          is escalated to the non-retriable policy *)
   batch_budget : float;
       (** cost budget per cursor batch; 0. = one step per batch (the
           row-at-a-time protocol).  Steers amortization only: rows,
@@ -41,17 +35,25 @@ type config = {
 let default_config =
   {
     jscan = Jscan.default_config;
-    fgr_buffer_cap = 512;
-    fgr_waste_cap = 0.5;
     speed_ratio = 1.0;
-    default_goal = Goal.Total_time;
-    retry_limit = 8;
     batch_budget = 0.0;
     bgr_enabled = true;
     deadline = None;
     feedback_rate = 0.0;
     metrics = None;
   }
+
+(* Foreground delivered-RID buffer capacity: overflow stops the
+   foreground (fast-first) or the background (index-only). *)
+let fgr_buffer_cap = 512
+
+(* The fast-first foreground stops once its wasted-fetch cost exceeds
+   this fraction of the guaranteed best. *)
+let fgr_waste_cap = 0.5
+
+(* Consecutive faulted quanta tolerated before a transient fault is
+   escalated to the non-retriable policy. *)
+let retry_limit = 8
 
 type request = {
   restriction : Predicate.t;
@@ -342,7 +344,6 @@ let build_machine cursor_cfg table trace restriction
   | Union_tactic ->
       let cfg =
         {
-          Uscan.default_config with
           Uscan.switch_ratio = cursor_cfg.jscan.Jscan.switch_ratio;
           memory_budget = cursor_cfg.jscan.Jscan.memory_budget;
         }
@@ -450,8 +451,7 @@ let fast_first_phase1 c ff =
                   if Predicate.test c.compiled row then begin
                     (* [distinct] records [rid] as it passes; it
                        already counts toward the cap *)
-                    if Rid_set.cardinal c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap
-                    then begin
+                    if Rid_set.cardinal c.delivered_rids + 1 >= fgr_buffer_cap then begin
                       ff.ff_active <- false;
                       Trace.emit c.trace
                         (Trace.Foreground_stopped { reason = "foreground buffer overflow" })
@@ -463,9 +463,7 @@ let fast_first_phase1 c ff =
                     let wasted_cost =
                       float_of_int ff.ff_wasted *. Cost.default_weights.Cost.physical_read
                     in
-                    if
-                      wasted_cost
-                      > c.cfg.fgr_waste_cap *. Jscan.guaranteed_best ff.ff_jscan
+                    if wasted_cost > fgr_waste_cap *. Jscan.guaranteed_best ff.ff_jscan
                     then begin
                       ff.ff_active <- false;
                       Trace.emit c.trace
@@ -535,7 +533,7 @@ let index_only_fg c io =
   | Scan.Deliver _ as s ->
       (* [distinct] records this row as it passes; it already counts
          toward the cap *)
-      if Rid_set.cardinal c.delivered_rids + 1 >= c.cfg.fgr_buffer_cap && io.io_bgr_active
+      if Rid_set.cardinal c.delivered_rids + 1 >= fgr_buffer_cap && io.io_bgr_active
       then begin
         (* Foreground buffer overflow: the safer Sscan wins,
            Jscan terminates (§7 index-only). *)
@@ -626,6 +624,9 @@ let needed_columns table (req : request) restriction =
   List.sort_uniq compare all
 
 let open_ ?(config = default_config) table (req : request) =
+  (match config.deadline with
+  | Some d when Float.is_nan d -> invalid_arg "Retrieval.open_: deadline is NaN"
+  | _ -> ());
   let trace = Trace.create () in
   Trace.emit trace (Trace.Span_begin { span = "plan" });
   let fgr_meter = Cost.create () in
@@ -636,6 +637,11 @@ let open_ ?(config = default_config) table (req : request) =
   (* Resolve every named column before planning: an unknown one fails
      here, by name, whatever the table holds. *)
   let compiled = Predicate.compile restriction schema in
+  List.iter
+    (fun col ->
+      if not (Schema.mem schema col) then
+        invalid_arg ("Retrieval.open_: unknown projection column " ^ col))
+    (Option.value req.projection ~default:[]);
   let order_ids =
     Array.of_list
       (List.map
@@ -647,7 +653,7 @@ let open_ ?(config = default_config) table (req : request) =
   in
   let goal, goal_provenance =
     Goal.resolve ?explicit:req.explicit_goal ?context:req.context
-      ~default:config.default_goal ()
+      ~default:Goal.Total_time ()
   in
   let tactic, machine, classified_order, feedback_pending =
     if restriction = Predicate.False then (Cancelled, M_empty, false, [])
@@ -762,7 +768,7 @@ let open_ ?(config = default_config) table (req : request) =
 let note_structure_fault c (f : Fault.failure) =
   match Table.structure_of_file c.table f.Fault.file with
   | None -> ()
-  | Some structure -> (
+  | Some structure ->
       let health = Table.health c.table in
       let now = Table.now c.table in
       let tr =
@@ -771,17 +777,7 @@ let note_structure_fault c (f : Fault.failure) =
         | Fault.Persistent | Fault.Transient | Fault.Spill_full ->
             Health.record_dead health ~now structure
       in
-      match Table.note_transition c.table tr with
-      | None -> ()
-      | Some tr ->
-          Trace.emit c.trace
-            (Trace.Health_transition
-               {
-                 structure = tr.Health.tr_structure;
-                 from_ = Health.state_to_string tr.Health.tr_from;
-                 to_ = Health.state_to_string tr.Health.tr_to;
-                 reason = tr.Health.tr_reason;
-               }))
+      Initial_stage.note_health c.table c.trace tr
 
 let abort_query c f =
   Trace.emit c.trace (Trace.Query_aborted { fault = Fault.describe f });
@@ -811,7 +807,7 @@ let fault_site c (f : Fault.failure) =
   ^ Fault.class_name f.Fault.class_
 
 let retry_rung c =
-  Tactic.Policy.bounded_retry ~limit:c.cfg.retry_limit
+  Tactic.Policy.bounded_retry ~limit:retry_limit
     ~penalize:(fun f ~consec ->
       (* The i-th consecutive retry charges i physical reads to the
          faulted side's meter, so repeated faults both show up in
@@ -852,16 +848,20 @@ let fallback_rung c =
    quarantine the faulted competitor; foreground index paths can fall
    back to Tscan; a Tscan (and the empty machine) only ever touches
    the heap, whose sole recourse past retrying is the structured
-   abort. *)
+   abort.  The armed stack and EXPLAIN's description both read this
+   one list. *)
+let ladder tactic ~retry ~quarantine ~abort_heap ~fallback =
+  match tactic with
+  | Background_only | Fast_first_tactic | Sorted_tactic | Index_only_tactic
+  | Union_tactic ->
+      [ retry; quarantine; abort_heap; fallback ]
+  | Static_sscan | Static_fscan -> [ retry; abort_heap; fallback ]
+  | Static_tscan | Cancelled -> [ retry; abort_heap ]
+
 let policy_stack c =
   Tactic.Policy.stack
-    (match c.tactic with
-    | Background_only | Fast_first_tactic | Sorted_tactic | Index_only_tactic
-    | Union_tactic ->
-        [ retry_rung c; quarantine_rung c; abort_heap_rung c; fallback_rung c ]
-    | Static_sscan | Static_fscan ->
-        [ retry_rung c; abort_heap_rung c; fallback_rung c ]
-    | Static_tscan | Cancelled -> [ retry_rung c; abort_heap_rung c ])
+    (ladder c.tactic ~retry:(retry_rung c) ~quarantine:(quarantine_rung c)
+       ~abort_heap:(abort_heap_rung c) ~fallback:(fallback_rung c))
 
 let fault_policy c =
   Tactic.Policy.seal
@@ -870,18 +870,12 @@ let fault_policy c =
         (Trace.Fault_detected { site = fault_site c f; fault = Fault.describe f }))
     (policy_stack c)
 
-(* The ladder a given tactic kind arms, as EXPLAIN prints it — kept in
-   lockstep with [policy_stack] (pinned per covered tactic by the
-   oracle suite). *)
-let policy_description ?(config = default_config) tactic =
-  let retry = Printf.sprintf "retry(%d)" config.retry_limit in
+(* The ladder a given tactic kind arms, as EXPLAIN prints it. *)
+let policy_description tactic =
   String.concat " \xe2\x87\x92 "
-    (match tactic with
-    | Background_only | Fast_first_tactic | Sorted_tactic | Index_only_tactic
-    | Union_tactic ->
-        [ retry; "quarantine"; "abort-heap"; "tscan-fallback" ]
-    | Static_sscan | Static_fscan -> [ retry; "abort-heap"; "tscan-fallback" ]
-    | Static_tscan | Cancelled -> [ retry; "abort-heap" ])
+    (ladder tactic
+       ~retry:(Printf.sprintf "retry(%d)" retry_limit)
+       ~quarantine:"quarantine" ~abort_heap:"abort-heap" ~fallback:"tscan-fallback")
 
 (* Page-handle caches are only sound within one batch; the machine
    cursor invalidates whichever its current shape holds on every batch
@@ -1214,6 +1208,9 @@ let close c =
       s
 
 let run ?config ?limit table req =
+  (match limit with
+  | Some n when n < 0 -> invalid_arg (Printf.sprintf "Retrieval.run: negative limit %d" n)
+  | _ -> ());
   let c = open_ ?config table req in
   let rows = ref [] in
   let continue_ () =

@@ -23,19 +23,9 @@ open Rdb_exec
 
 type config = {
   jscan : Jscan.config;
-  fgr_buffer_cap : int;
-      (** foreground delivered-RID buffer capacity; overflow stops the
-          foreground (fast-first) or the background (index-only) *)
-  fgr_waste_cap : float;
-      (** stop the fast-first foreground when its wasted-fetch cost
-          exceeds this fraction of the guaranteed best *)
   speed_ratio : float;
       (** foreground:background cost-speed ratio (1.0 = equal, the
           optimum under hyperbolic cost distributions [Ant91B]) *)
-  default_goal : Goal.t;
-  retry_limit : int;
-      (** max consecutive transient-fault retries per access before the
-          fault is treated as persistent (quarantine / fallback) *)
   batch_budget : float;
       (** cost budget per cursor batch (the {!Rdb_exec.Scan.cursor}
           quantum).  [0.] — the default — runs one machine step per
@@ -81,6 +71,17 @@ type config = {
           {!close}; [None] — the default — records nothing and changes
           nothing *)
 }
+(** Four competition and policy values are fixed:
+    - the foreground delivered-RID buffer holds 512 RIDs; overflow
+      stops the foreground (fast-first) or the background
+      (index-only);
+    - the fast-first foreground stops once its wasted-fetch cost
+      exceeds half the guaranteed best;
+    - the goal is total time unless inferred from the controlling node
+      or requested ({!Goal.resolve});
+    - 8 consecutive transient-fault retries per access are tolerated
+      before the fault is treated as persistent (quarantine /
+      fallback). *)
 
 val default_config : config
 
@@ -138,22 +139,27 @@ type summary = {
       (** the fault-policy ladder this retrieval armed, as rung names
           joined with [" ⇒ "] (e.g. ["retry(8) ⇒ quarantine ⇒
           abort-heap ⇒ tscan-fallback"]) — EXPLAIN's [policy:] line.
-          Always equal to [policy_description ~config tactic]. *)
+          Always equal to [policy_description tactic]. *)
   status : status;
   trace : Trace.event list;
 }
 
-val policy_description : ?config:config -> tactic_kind -> string
+val policy_description : tactic_kind -> string
 (** The degradation ladder a given tactic kind arms (DESIGN.md §17),
     without opening a cursor: bounded transient retry first, then —
     per tactic — background quarantine, the structured heap abort,
-    and the Tscan fallback for foreground index paths.  Kept in
-    lockstep with the armed {!Rdb_exec.Tactic.Policy} stack (pinned
-    by the oracle suite's coverage test). *)
+    and the Tscan fallback for foreground index paths.  It reads the
+    same per-tactic rung list as the armed {!Rdb_exec.Tactic.Policy}
+    stack (the oracle suite's coverage test compares the two). *)
 
 type cursor
 
 val open_ : ?config:config -> Table.t -> request -> cursor
+(** Plan the retrieval and return its cursor.  Raises
+    [Invalid_argument] naming the column when the restriction, the
+    ORDER BY or the projection names a column the table lacks, and
+    when [config.deadline] is NaN. *)
+
 val fetch : cursor -> Row.t option
 (** Next qualifying row; [None] when exhausted.  Rows arrive in
     requested order if [order_by] was given. *)
@@ -198,4 +204,6 @@ val close : cursor -> summary
 (** May be called at any time (early termination).  Idempotent. *)
 
 val run : ?config:config -> ?limit:int -> Table.t -> request -> Row.t list * summary
-(** Convenience: open, fetch up to [limit] (all if omitted), close. *)
+(** Convenience: open, fetch up to [limit] (all if omitted), close.
+    Raises [Invalid_argument] on a negative [limit], and as {!open_}
+    does. *)

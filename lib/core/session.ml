@@ -11,7 +11,6 @@ type config = {
   max_inflight : int;
   quantum : float;
   max_steps_per_quantum : int;
-  starvation_bound : int;
   max_queue : int;
   shed_policy : shed_policy;
   pressure_threshold : int;
@@ -27,7 +26,6 @@ let default_config =
     max_inflight = 4;
     quantum = 50.0;
     max_steps_per_quantum = 4096;
-    starvation_bound = 16;
     max_queue = max_int;
     shed_policy = Shed_newest;
     pressure_threshold = max_int;
@@ -37,6 +35,8 @@ let default_config =
     record_events = true;
     metrics = None;
   }
+
+let starvation_bound = 16
 
 type id = int
 
@@ -210,7 +210,26 @@ let fresh_job t ?label ?(arrive_at = 0) ~default_label ~quota work =
   emit t (Submitted { id; label });
   id
 
+(* Misuse fails at submission, before the job exists: a table outside
+   the scheduler's database would read and fault in a pool the run
+   neither meters nor shards, and a NaN quota compares false both ways
+   in the admission order. *)
+let check_submission t who table ~quota =
+  if Table.pool table != Database.pool t.db then
+    invalid_arg
+      (Printf.sprintf "Session.%s: table %s is not in the scheduler's database" who
+         (Table.name table));
+  match quota with
+  | Some q when Float.is_nan q ->
+      invalid_arg (Printf.sprintf "Session.%s: quota is NaN" who)
+  | _ -> ()
+
 let submit t ?label ?config ?limit ?quota ?deadline ?arrive_at table request =
+  check_submission t "submit" table ~quota;
+  (match limit with
+  | Some n when n < 0 ->
+      invalid_arg (Printf.sprintf "Session.submit: negative limit %d" n)
+  | _ -> ());
   let q_config = match config with Some c -> c | None -> t.cfg.retrieval in
   (* The cursor carries the one cost bound; the tighter of the two wins. *)
   let deadline =
@@ -218,6 +237,9 @@ let submit t ?label ?config ?limit ?quota ?deadline ?arrive_at table request =
     | Some a, Some b -> Some (Float.min a b)
     | d, None | None, d -> d
   in
+  (match deadline with
+  | Some d when Float.is_nan d -> invalid_arg "Session.submit: deadline is NaN"
+  | _ -> ());
   fresh_job t ?label ?arrive_at
     ~default_label:(Printf.sprintf "q%d")
     ~quota
@@ -233,6 +255,7 @@ let submit t ?label ?config ?limit ?quota ?deadline ?arrive_at table request =
        })
 
 let submit_repair t ?label ?quota table ~index =
+  check_submission t "submit_repair" table ~quota;
   (match Table.find_index table index with
   | Some _ -> ()
   | None -> invalid_arg ("Session.submit_repair: unknown index " ^ index));
@@ -339,19 +362,7 @@ let run t =
         match q.q_cursor with
         | Some c -> q.q_summary <- Some (Retrieval.close c)
         | None -> ())
-    | W_repair r -> (
-        match r.r_result with
-        | Some _ -> ()
-        | None ->
-            let rp =
-              match r.r_repair with
-              | Some rp -> rp
-              | None ->
-                  let rp = Repair.create r.r_rtable ~index:r.r_rindex in
-                  r.r_repair <- Some rp;
-                  rp
-            in
-            r.r_result <- Some (Repair.run rp)));
+    | W_repair _ -> ());
     j.j_outcome <- Some Served;
     emit t (Finished { id = j.j_id; tick = !tick; rows = job_rows j })
   in
@@ -502,7 +513,7 @@ let run t =
     | _ :: _ ->
         let gap j = !tick - j.j_last_grant in
         let starving =
-          List.filter (fun j -> gap j >= t.cfg.starvation_bound) !active
+          List.filter (fun j -> gap j >= starvation_bound) !active
         in
         let by_key key js =
           List.fold_left
@@ -678,7 +689,7 @@ let run t =
          budget the worst-treated session actually used up *)
       M.set
         (M.gauge m "session.starvation_margin")
-        (float_of_int (t.cfg.starvation_bound - max_gap));
+        (float_of_int (starvation_bound - max_gap));
       M.set (M.gauge m "session.hit_rate")
         (if physical + logical = 0 then 1.0
          else float_of_int logical /. float_of_int (physical + logical));

@@ -19,7 +19,7 @@
       units of work (measured by its own meters).  The next grant goes
       to the active session with the least charged cost (deterministic
       tie-break: lowest id) — but any session passed over for
-      [starvation_bound] consecutive grants is scheduled next
+      {!starvation_bound} consecutive grants is scheduled next
       unconditionally, so the wait of a runnable session is bounded.
     + {b Isolation.}  Competition state (guaranteed best, quarantine,
       fallback, retry counters) lives inside each cursor; one query's
@@ -73,9 +73,6 @@ type config = {
   max_steps_per_quantum : int;
       (** hard step bound per grant, >= 1, so zero-cost delivery (e.g.
           from a materialized sort) cannot hold the engine *)
-  starvation_bound : int;
-      (** a runnable session passed over this many consecutive grants
-          is scheduled next unconditionally *)
   max_queue : int;
       (** waiting-queue bound: arrivals beyond it are shed with a
           structured {!outcome.Shed}.  [max_int] — the default — never
@@ -114,6 +111,10 @@ type config = {
 }
 
 val default_config : config
+
+val starvation_bound : int
+(** 16: a runnable session passed over this many consecutive grants is
+    scheduled next unconditionally, whatever the config. *)
 
 type id = int
 
@@ -230,7 +231,9 @@ val submit :
   Retrieval.request ->
   id
 (** Enqueue a query.  Ids are dense, in submission order.  The table
-    must share the scheduler's database pool.
+    must belong to the scheduler's database (share its pool): one that
+    does not raises [Invalid_argument] naming it, as do a negative
+    [limit] and a NaN [quota] or [deadline].
 
     [quota] is the {e declared} admission-ordering quota — a
     declaration only, it enforces nothing; [None] (the default) ranks
@@ -252,7 +255,8 @@ val submit_repair :
     session — background maintenance competes with foreground work
     instead of preempting it.  [quota] orders admission only (repairs
     run to completion regardless).  Ids share the query id space.
-    Raises [Invalid_argument] on an unknown index. *)
+    Raises [Invalid_argument] on an unknown index, on a table outside
+    the scheduler's database and on a NaN [quota]. *)
 
 val run : t -> report
 (** Drive every submitted query to a structured exit — [Served],

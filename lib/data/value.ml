@@ -46,10 +46,6 @@ let as_int = function Int i -> Some i | _ -> None
 
 let as_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
 
-let as_string = function Str s -> Some s | _ -> None
-
-let min_value = Null
-
 let succ_approx = function
   | Null -> Null
   | Int i -> if i = max_int then Int i else Int (i + 1)

@@ -45,12 +45,7 @@ val as_int : t -> int option
 val as_float : t -> float option
 (** [as_float] also coerces [Int]. *)
 
-val as_string : t -> string option
-
 (** {1 Key helpers} *)
-
-val min_value : t
-(** Sorts before every value (it is [Null]). *)
 
 val succ_approx : t -> t
 (** Smallest representable value strictly greater than [v] for ints and

@@ -61,7 +61,3 @@ let fit target =
   let left = try_fit target ~mirrored:false in
   let right = try_fit target ~mirrored:true in
   if left.relative_error <= right.relative_error then left else right
-
-let fitted_dist target f =
-  let h = density ~bins:(Dist.bins target) ~b:f.b ~d:f.d () in
-  if f.mirrored then Dist.neg h else h

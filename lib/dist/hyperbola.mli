@@ -32,5 +32,3 @@ val fit : Dist.t -> fit
     search, with [d] swept over a small grid; the mirror orientation
     giving the smaller error is selected. *)
 
-val fitted_dist : Dist.t -> fit -> Dist.t
-(** Materialize the fitted density at the distribution's resolution. *)

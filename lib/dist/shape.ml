@@ -8,11 +8,6 @@ let skewness d =
 
 let concentration d = Dist.quantile d 0.5
 
-let l_shape_score d =
-  let med = concentration d in
-  (* Uniform has median 0.5; all-mass-at-zero has median ~0. *)
-  Rdb_util.Stats.clamp ((0.5 -. med) /. 0.5) ~lo:0.0 ~hi:1.0
-
 let classify d =
   let med = concentration d in
   let sd = Dist.stddev d in

@@ -21,12 +21,6 @@ val concentration : Dist.t -> float
     width w such that mass([0,w]) >= 0.5, i.e. the median.  Small
     values mean strong left concentration. *)
 
-val l_shape_score : Dist.t -> float
-(** In [0,1]: how strongly the distribution is left-L-shaped.  Defined
-    as [mass_below m - m] rescaled, where m is the median of a uniform
-    reference (0.5): a uniform distribution scores 0, a distribution
-    with all mass at 0 scores 1. *)
-
 val classify : Dist.t -> classification
 (** Heuristic classification used in reports and tests. *)
 

@@ -208,7 +208,3 @@ let status_to_string s =
   | None ->
       Printf.sprintf "%-16s %-12s (%d transitions)" s.structure
         (state_to_string s.st) s.transitions
-
-let transition_to_string tr =
-  Printf.sprintf "%s: %s -> %s (%s)" tr.tr_structure (state_to_string tr.tr_from)
-    (state_to_string tr.tr_to) tr.tr_reason

@@ -58,8 +58,6 @@ type transition = {
   tr_reason : string;
 }
 
-val transition_to_string : transition -> string
-
 type t
 
 val create : ?config:config -> unit -> t

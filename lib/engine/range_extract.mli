@@ -15,7 +15,6 @@
     in the tree. *)
 
 open Rdb_btree
-open Rdb_data
 
 type t = {
   ranges : Btree.range list;
@@ -29,5 +28,3 @@ type t = {
 val for_index : Predicate.t -> Table.index -> t
 (** The restriction must be bound ({!Predicate.is_bound}); raises
     [Invalid_argument] otherwise. *)
-
-val key_of_values : Value.t list -> Btree.key

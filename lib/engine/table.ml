@@ -72,8 +72,6 @@ let insert t row =
   List.iter (fun idx -> Btree.insert idx.tree t.build (index_key idx row) rid) t.indexes;
   rid
 
-let insert_many t rows = List.iter (fun r -> ignore (insert t r)) rows
-
 let delete t rid =
   match Heap_file.fetch t.heap t.build rid with
   | None -> false
@@ -124,15 +122,6 @@ let create_index t ?(fanout = 64) ~name:iname ~columns () =
   Manifest.commit_index (Buffer_pool.manifest t.pool) ~table:t.name ~index:iname
     ~file:(Btree.file_id tree);
   idx
-
-let drop_index t iname =
-  let before = List.length t.indexes in
-  t.indexes <- List.filter (fun i -> i.idx_name <> iname) t.indexes;
-  if List.length t.indexes < before then begin
-    Manifest.forget_index (Buffer_pool.manifest t.pool) ~table:t.name ~index:iname;
-    true
-  end
-  else false
 
 let index_covers idx ~columns =
   List.for_all (fun c -> List.mem c idx.key_columns) columns

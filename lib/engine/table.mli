@@ -33,8 +33,6 @@ val insert : t -> Row.t -> Rid.t
     mismatch) and maintains all indexes.  Maintenance I/O is charged
     to an internal build meter, not to any query. *)
 
-val insert_many : t -> Row.t list -> unit
-
 val delete : t -> Rid.t -> bool
 (** Remove the row and its index entries. *)
 
@@ -46,8 +44,6 @@ val update : t -> Rid.t -> Row.t -> bool
 val create_index : t -> ?fanout:int -> name:string -> columns:string list -> unit -> index
 (** Build a new index over existing rows.  Raises [Invalid_argument]
     on duplicate name or unknown column. *)
-
-val drop_index : t -> string -> bool
 
 val index_key : index -> Row.t -> Btree.key
 (** Project a row onto the index key columns. *)

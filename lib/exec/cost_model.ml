@@ -25,9 +25,6 @@ let index_scan_cost idx ~entries =
   let descent = float_of_int (Btree.height tree) in
   ((leaves +. descent) *. w.Cost.physical_read) +. (entries *. w.Cost.cpu_op)
 
-let index_full_cost idx =
-  index_scan_cost idx ~entries:(float_of_int (Btree.cardinality idx.Table.tree))
-
 let key_order_fetch_cost table idx ~entries =
   if entries <= 0.0 then 0.0
   else begin

@@ -18,8 +18,6 @@ val index_scan_cost : Table.index -> entries:float -> float
 (** Scanning [entries] consecutive index entries: leaf loads at the
     tree's average fill plus the descent, plus per-entry CPU. *)
 
-val index_full_cost : Table.index -> float
-
 val key_order_fetch_cost : Table.t -> Table.index -> entries:float -> float
 (** Cost of fetching [entries] records in *index-key order* (what an
     Fscan does): interpolates between the clustered case (key order =

@@ -23,7 +23,6 @@ type t = {
 }
 
 let make cursor policy = { cursor; policy; consec = 0 }
-let consec_faults d = d.consec
 
 type progress =
   | More

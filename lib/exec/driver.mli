@@ -24,8 +24,6 @@ type t
 
 val make : Scan.cursor -> policy -> t
 
-val consec_faults : t -> int
-
 type progress =
   | More  (** keep pumping *)
   | Exhausted  (** the cursor completed *)

@@ -450,11 +450,6 @@ let quarantine t f =
             | None -> ()
           end)
 
-let faulted_scan t =
-  match t.fault_site with
-  | Some (Site_scan (st, _)) -> Some (idx_name st)
-  | _ -> None
-
 let outcome t = t.finished
 
 (* Row-less cursor: Jscan produces a RID list (or a recommendation)

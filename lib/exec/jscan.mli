@@ -81,9 +81,6 @@ val quarantine : t -> Fault.failure -> unit
     degrades to [Recommend_tscan]).  The competition continues with
     the remaining candidates.  No-op if no fault is pending. *)
 
-val faulted_scan : t -> string option
-(** Index name blamed by the last [`Faulted] step, if it was a scan. *)
-
 val cursor : t -> Scan.cursor
 (** The competition as a row-less batch-quantum cursor: productive
     steps yield no rows (the result is the {!outcome} RID list),

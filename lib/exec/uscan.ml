@@ -6,9 +6,12 @@ open Rdb_storage
 
 type outcome = Rid_list of Rid.t array | Recommend_tscan of string
 
-type config = { switch_ratio : float; check_every : int; memory_budget : int }
+type config = { switch_ratio : float; memory_budget : int }
 
-let default_config = { switch_ratio = 0.95; check_every = 32; memory_budget = 4096 }
+let default_config = { switch_ratio = 0.95; memory_budget = 4096 }
+
+(* Scanned entries between two abandonment checks. *)
+let check_every = 32
 
 type scan_state = {
   cand : Scan.candidate;
@@ -170,7 +173,7 @@ let rec step t =
                      caller abandons; the half-consumed entry is moot. *)
                   `Faulted f
               | () ->
-              if st.scanned mod t.cfg.check_every = 0 then begin
+              if st.scanned mod check_every = 0 then begin
                 match check t st with
                 | Some reason ->
                     Trace.emit t.trace

@@ -23,9 +23,9 @@ type outcome =
 
 type config = {
   switch_ratio : float;  (** abandon threshold vs guaranteed best (0.95) *)
-  check_every : int;
   memory_budget : int;
 }
+(** The abandonment check runs every 32 scanned entries of a scan. *)
 
 val default_config : config
 

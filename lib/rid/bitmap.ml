@@ -38,8 +38,6 @@ let population t =
     pop (Char.code c) 0)) t.data;
   !count
 
-let fill_ratio t = float_of_int (population t) /. float_of_int t.nbits
-
 let expected_false_positive_rate t =
   (* k = 2 hash functions: (1 - e^{-2n/m})^2 *)
   let n = float_of_int t.adds and m = float_of_int t.nbits in

@@ -20,8 +20,6 @@ val mem : t -> Rid.t -> bool
 val population : t -> int
 (** Number of set bits. *)
 
-val fill_ratio : t -> float
-
 val expected_false_positive_rate : t -> float
 (** For the current population, assuming uniform hashing (two hash
     probes per RID). *)

@@ -10,7 +10,6 @@ type t = {
   pool : Buffer_pool.t;
   meter : Cost.t;
   budget : int;
-  bitmap_bits : int;
   inline : Rid.t array;
   mutable inline_len : int;
   mutable buffer : Rid.t Dynarray.t option;
@@ -20,17 +19,13 @@ type t = {
   mutable sealed : bool;
 }
 
-let create ?(memory_budget = 4096) ?bitmap_bits pool meter =
+let create ?(memory_budget = 4096) pool meter =
   if memory_budget < inline_capacity then
     invalid_arg "Rid_list.create: budget below inline capacity";
-  let bitmap_bits =
-    match bitmap_bits with Some b -> b | None -> 16 * memory_budget
-  in
   {
     pool;
     meter;
     budget = memory_budget;
-    bitmap_bits;
     inline = Array.make inline_capacity (Rid.make ~page:0 ~slot:0);
     inline_len = 0;
     buffer = None;
@@ -54,7 +49,7 @@ let promote_to_buffer t =
 
 let promote_to_spill t buf =
   let spill = Spill.create t.pool in
-  let bitmap = Bitmap.create ~bits:t.bitmap_bits in
+  let bitmap = Bitmap.create ~bits:(16 * t.budget) in
   Dynarray.iter (Bitmap.add bitmap) buf;
   Spill.append spill t.meter (Dynarray.to_array buf);
   t.buffer <- None;

@@ -26,11 +26,10 @@ type t
 val inline_capacity : int
 (** 20, as in the paper. *)
 
-val create :
-  ?memory_budget:int -> ?bitmap_bits:int -> Buffer_pool.t -> Cost.t -> t
+val create : ?memory_budget:int -> Buffer_pool.t -> Cost.t -> t
 (** [memory_budget] is the max buffered RIDs before spilling (default
-    4096); [bitmap_bits] sizes the hashed bitmap used once spilled
-    (default [16 * memory_budget]). *)
+    4096); once spilled, a hashed bitmap of [16 * memory_budget] bits
+    answers membership probes. *)
 
 val add : t -> Rid.t -> unit
 val count : t -> int

@@ -312,7 +312,7 @@ and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
        value, memoized. *)
     let probe_cost = ref 0.0 and probe_rows = ref 0 and probes = ref 0 and hits = ref 0 in
     let last_tactic = ref Retrieval.Static_tscan and last_goal = ref Rdb_core.Goal.Total_time in
-    let last_policy = ref (Retrieval.policy_description ?config Retrieval.Static_tscan) in
+    let last_policy = ref (Retrieval.policy_description Retrieval.Static_tscan) in
     let cache : (Value.t, Row.t list) Hashtbl.t = Hashtbl.create 64 in
     let probe v =
       match Hashtbl.find_opt cache v with

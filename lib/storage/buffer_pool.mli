@@ -102,8 +102,6 @@ val name_file : t -> file:int -> string -> unit
 (** Give a file a human label ("table:employees", "index:emp_dept")
     used in per-file metric names.  Unnamed files show as "file<N>". *)
 
-val file_label : t -> int -> string
-
 val touch : t -> Cost.t -> block -> unit
 (** Access a block for reading: charge logical on hit, physical on
     miss (and make it resident, evicting if full). *)

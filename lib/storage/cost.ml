@@ -27,11 +27,12 @@ let logical_reads t = t.logical
 let block_writes t = t.writes
 let cpu_ops t = t.cpu
 
-let total ?(weights = default_weights) t =
-  (float_of_int t.physical *. weights.physical_read)
-  +. (float_of_int t.logical *. weights.logical_read)
-  +. (float_of_int t.writes *. weights.block_write)
-  +. (float_of_int t.cpu *. weights.cpu_op)
+let total t =
+  let w = default_weights in
+  (float_of_int t.physical *. w.physical_read)
+  +. (float_of_int t.logical *. w.logical_read)
+  +. (float_of_int t.writes *. w.block_write)
+  +. (float_of_int t.cpu *. w.cpu_op)
 
 let add dst src =
   dst.physical <- dst.physical + src.physical;

@@ -33,8 +33,8 @@ val logical_reads : t -> int
 val block_writes : t -> int
 val cpu_ops : t -> int
 
-val total : ?weights:weights -> t -> float
-(** Weighted cost. *)
+val total : t -> float
+(** Cost weighted by {!default_weights}. *)
 
 val add : t -> t -> unit
 (** [add dst src] accumulates [src] into [dst] (used to roll per-scan
@@ -44,8 +44,8 @@ val snapshot : t -> t
 (** Independent copy. *)
 
 val since : t -> t -> float
-(** [since now before] is [total now -. total before] with default
-    weights: cost spent between two snapshots. *)
+(** [since now before] is [total now -. total before]: cost spent
+    between two snapshots. *)
 
 val reset : t -> unit
 

@@ -16,7 +16,6 @@ type plan = {
   seed : int;
   transient_read_rate : float;
   transient_classes : file_class list;
-  transient_files : int list option;
   persistent_files : int list;
   corrupt_blocks : (int * int) list;
   spill_write_budget : int option;
@@ -28,7 +27,6 @@ let null_plan =
     seed = 0;
     transient_read_rate = 0.0;
     transient_classes = [];
-    transient_files = None;
     persistent_files = [];
     corrupt_blocks = [];
     spill_write_budget = None;
@@ -36,8 +34,8 @@ let null_plan =
   }
 
 let plan ?(transient_read_rate = 0.0) ?(transient_classes = [ Heap; Index; Spill ])
-    ?transient_files ?(persistent_files = []) ?(corrupt_blocks = [])
-    ?spill_write_budget ?(fail_at_access = []) ~seed () =
+    ?(persistent_files = []) ?(corrupt_blocks = []) ?spill_write_budget
+    ?(fail_at_access = []) ~seed () =
   if transient_read_rate < 0.0 || transient_read_rate > 1.0 then
     invalid_arg "Fault.plan: transient_read_rate outside [0,1]";
   List.iter
@@ -47,7 +45,6 @@ let plan ?(transient_read_rate = 0.0) ?(transient_classes = [ Heap; Index; Spill
     seed;
     transient_read_rate;
     transient_classes;
-    transient_files;
     persistent_files;
     corrupt_blocks;
     spill_write_budget;
@@ -79,16 +76,10 @@ let create plan =
     n_spill = 0;
   }
 
-let plan_of t = t.plan
-
 let persistent t ~file = List.mem file t.plan.persistent_files
 
-let transient_scope t ~cls ~file =
-  t.plan.transient_read_rate > 0.0
-  && List.mem cls t.plan.transient_classes
-  && match t.plan.transient_files with
-     | None -> true
-     | Some files -> List.mem file files
+let transient_scope t ~cls =
+  t.plan.transient_read_rate > 0.0 && List.mem cls t.plan.transient_classes
 
 let read_accesses t ~file =
   match Hashtbl.find_opt t.read_counts file with Some n -> n | None -> 0
@@ -109,7 +100,7 @@ let on_read t ~cls ~file ~index ~hit =
     t.n_persistent <- t.n_persistent + 1;
     raise (Injected { file; index; class_ = cls; kind = Persistent })
   end;
-  if (not hit) && transient_scope t ~cls ~file
+  if (not hit) && transient_scope t ~cls
      && Prng.float t.prng 1.0 < t.plan.transient_read_rate
   then begin
     t.n_transient <- t.n_transient + 1;

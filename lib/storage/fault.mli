@@ -10,8 +10,7 @@
 
     - {e transient} read faults: a physical read fails but a retry may
       succeed.  Fired probabilistically on buffer-pool misses only
-      (a resident block needs no I/O), scoped to file classes and
-      optionally to specific files.
+      (a resident block needs no I/O), scoped to file classes.
     - {e persistent} faults: every access to a listed file fails
       (a dead disk / unreadable index).  Never retried successfully.
     - {e corruption}: a listed block's stored checksum is scrambled
@@ -47,7 +46,6 @@ type plan = {
   seed : int;
   transient_read_rate : float;  (** per-physical-read probability *)
   transient_classes : file_class list;
-  transient_files : int list option;  (** [None] = every file in class *)
   persistent_files : int list;
   corrupt_blocks : (int * int) list;  (** (file, index) pairs *)
   spill_write_budget : int option;  (** max spill block writes *)
@@ -56,9 +54,9 @@ type plan = {
           on exactly the [n]-th read access (1-based, hits and misses
           both counted) to file [f] — lets tests place a fault at a
           precise point instead of tuning probabilities.  To force a
-          retry-exhaustion escalation, schedule [retry_limit + 1]
-          consecutive access numbers: each retry re-accesses the file
-          and advances the counter. *)
+          retrieval's retry-exhaustion escalation, schedule 9 (its
+          retry limit, 8, plus one) consecutive access numbers: each
+          retry re-accesses the file and advances the counter. *)
 }
 
 val null_plan : plan
@@ -67,7 +65,6 @@ val null_plan : plan
 val plan :
   ?transient_read_rate:float ->
   ?transient_classes:file_class list ->
-  ?transient_files:int list ->
   ?persistent_files:int list ->
   ?corrupt_blocks:(int * int) list ->
   ?spill_write_budget:int ->
@@ -75,15 +72,14 @@ val plan :
   seed:int ->
   unit ->
   plan
-(** Defaults: rate 0.0, classes [[Heap; Index; Spill]], all files, no
-    persistent files, no corruption, unlimited spill, no scheduled
-    faults.  Raises [Invalid_argument] on a rate outside [0,1] or a
-    scheduled access number below 1. *)
+(** Defaults: rate 0.0, classes [[Heap; Index; Spill]], no persistent
+    files, no corruption, unlimited spill, no scheduled faults.  Raises
+    [Invalid_argument] on a rate outside [0,1] or a scheduled access
+    number below 1. *)
 
 type t
 
 val create : plan -> t
-val plan_of : t -> plan
 
 val on_read : t -> cls:file_class -> file:int -> index:int -> hit:bool -> unit
 (** Called by the pool on every read access, after charging.
@@ -122,7 +118,6 @@ val injected_spill : t -> int
 val injected_total : t -> int
 
 val class_name : file_class -> string
-val kind_name : kind -> string
 
 val describe : failure -> string
 (** e.g. ["transient read fault on index file 3 block 17"]. *)

@@ -18,7 +18,6 @@ type t = {
   page_bytes : int;
   pages : page Dynarray.t;
   mutable live : int;
-  mutable max_slots : int;
 }
 
 let create ?(page_bytes = 8192) pool =
@@ -31,7 +30,6 @@ let create ?(page_bytes = 8192) pool =
     page_bytes;
     pages = Dynarray.create ();
     live = 0;
-    max_slots = 1;
   }
 
 let file_id t = t.file
@@ -63,7 +61,6 @@ let insert t row =
   page.bytes_used <- page.bytes_used + size;
   page.crc_valid <- false;
   t.live <- t.live + 1;
-  t.max_slots <- Int.max t.max_slots (slot + 1);
   Rid.make ~page:page_no ~slot
 
 let page_crc page =
@@ -283,5 +280,3 @@ let iter t meter f =
         loop ()
   in
   loop ()
-
-let slots_per_page_hint t = t.max_slots

@@ -92,6 +92,3 @@ val rewrite_corrupt_pages : t -> Cost.t -> int
     heap blocks the "until the page is rewritten" recovery that
     {!Fault} documents.  Transient and persistent faults are not
     healed here and propagate to the caller. *)
-
-val slots_per_page_hint : t -> int
-(** Upper bound on slots used in any page (dense-bitmap sizing). *)

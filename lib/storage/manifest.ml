@@ -32,14 +32,6 @@ let begin_epoch t =
   t.epoch
 
 let commit_index t ~table ~index ~file = Hashtbl.replace t.indexes (table, index) file
-let forget_index t ~table ~index = Hashtbl.remove t.indexes (table, index)
-
-let forget_table t ~table =
-  Hashtbl.iter
-    (fun ((tbl, _) as k) _ -> if tbl = table then Hashtbl.remove t.indexes k)
-    (Hashtbl.copy t.indexes)
-
-let committed_file t ~table ~index = Hashtbl.find_opt t.indexes (table, index)
 
 let begin_rebuild t ~table ~index ~side_file =
   let id = t.next_rebuild in

@@ -55,14 +55,6 @@ val commit_index : t -> table:string -> index:string -> file:int -> unit
 (** Record [file] as the committed tree of [(table, index)] — the
     atomic commit point of an index build or rebuild swap. *)
 
-val forget_index : t -> table:string -> index:string -> unit
-(** Drop the entry (index dropped). *)
-
-val forget_table : t -> table:string -> unit
-(** Drop every entry of [table] (table dropped). *)
-
-val committed_file : t -> table:string -> index:string -> int option
-
 (** {1 Two-phase rebuilds} *)
 
 val begin_rebuild : t -> table:string -> index:string -> side_file:int -> int

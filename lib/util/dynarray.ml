@@ -5,11 +5,6 @@ type 'a t = {
 
 let create () = { data = [||]; len = 0 }
 
-(* The capacity hint is dropped: a safe polymorphic preallocation would
-   need a dummy element, which interacts badly with the unboxed float
-   array representation.  Growth is amortized O(1) regardless. *)
-let with_capacity _n = create ()
-
 let length t = t.len
 
 let is_empty t = t.len = 0
@@ -72,9 +67,9 @@ let to_array t = Array.sub t.data 0 t.len
 
 let to_list t = Array.to_list (to_array t)
 
-let of_array a = { data = Array.copy a; len = Array.length a }
-
-let of_list l = of_array (Array.of_list l)
+let of_list l =
+  let data = Array.of_list l in
+  { data; len = Array.length data }
 
 let sort cmp t =
   let a = to_array t in

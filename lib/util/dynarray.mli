@@ -7,7 +7,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val with_capacity : int -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val get : 'a t -> int -> 'a
@@ -26,7 +25,6 @@ val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
-val of_array : 'a array -> 'a t
 val of_list : 'a list -> 'a t
 val sort : ('a -> 'a -> int) -> 'a t -> unit
 (** In-place sort of the live elements. *)

@@ -43,13 +43,11 @@ val gauge_value : gauge -> float
 
 type histogram
 
-val default_buckets : float array
-(** Power-of-four ladder over cost units: spans sub-page-read costs up
-    to full scans of the biggest bench tables. *)
-
 val histogram : ?buckets:float array -> t -> string -> histogram
-(** [buckets] are strictly increasing upper bucket bounds (default
-    {!default_buckets}); an extra overflow bucket is added.  Raises
+(** [buckets] are strictly increasing upper bucket bounds; an extra
+    overflow bucket is added.  The default is the power-of-four ladder
+    1, 4, ..., 65536 over cost units, which spans sub-page-read costs up
+    to full scans of the biggest bench tables.  Raises
     [Invalid_argument] on empty or non-increasing bounds, or on a
     name registered with another kind.  [buckets] is ignored when the
     histogram already exists. *)
@@ -74,11 +72,9 @@ val snapshot : t -> (string * value) list
 (** Sorted by name: iteration order never depends on hash-table
     internals. *)
 
-val value_to_string : value -> string
 val to_string : t -> string
 (** One ["name = value"] line per metric, name-sorted. *)
 
-val value_to_json : value -> Json.t
 val to_json : t -> Json.t
 
 val is_empty : t -> bool

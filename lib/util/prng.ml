@@ -55,10 +55,6 @@ let choose g a =
   assert (Array.length a > 0);
   a.(int g (Array.length a))
 
-let exponential g ~mean =
-  let u = 1.0 -. float g 1.0 in
-  -.mean *. log u
-
 let normal g ~mean ~stddev =
   let u1 = 1.0 -. float g 1.0 in
   let u2 = float g 1.0 in

@@ -20,9 +20,6 @@ val split : t -> t
 (** [split g] advances [g] and returns a new generator whose stream is
     statistically independent of [g]'s subsequent output. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int g bound] is uniform on [0, bound-1].  [bound] must be > 0. *)
 
@@ -39,9 +36,6 @@ val shuffle : t -> 'a array -> unit
 
 val choose : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed positive float. *)
 
 val normal : t -> mean:float -> stddev:float -> float
 (** Normally distributed float (Box-Muller). *)

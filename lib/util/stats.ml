@@ -29,16 +29,6 @@ let percentile xs p =
 
 let median xs = percentile xs 0.5
 
-let geometric_mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let acc = Array.fold_left (fun acc x -> acc +. log x) 0.0 xs in
-    exp (acc /. float_of_int n)
-  end
-
 let clamp x ~lo ~hi = Float.min hi (Float.max lo x)
 
-let log2 x = log x /. log 2.0
-
-let float_equal ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
+let float_equal a b = Float.abs (a -. b) <= 1e-9

@@ -16,12 +16,7 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 
-val geometric_mean : float array -> float
-(** Geometric mean of strictly positive values. *)
-
 val clamp : float -> lo:float -> hi:float -> float
 
-val log2 : float -> float
-
-val float_equal : ?eps:float -> float -> float -> bool
-(** Absolute-difference comparison, default [eps = 1e-9]. *)
+val float_equal : float -> float -> bool
+(** Absolute-difference comparison within [1e-9]. *)

@@ -37,8 +37,7 @@ let families ?(rows = 20000) ?(seed = 1) db =
   ignore (Table.create_index t ~name:"AGE_IDX" ~columns:[ "AGE" ] ());
   t
 
-let orders ?(rows = 30000) ?(seed = 2) ?(customers = 2000) ?(products = 500) ?(days = 365)
-    ?(theta = 1.0) db =
+let orders ?(rows = 30000) ?(seed = 2) db =
   let schema =
     Schema.make
       [
@@ -52,11 +51,11 @@ let orders ?(rows = 30000) ?(seed = 2) ?(customers = 2000) ?(products = 500) ?(d
   in
   let t = Database.create_table db ~name:"ORDERS" schema in
   let rng = Prng.create ~seed in
-  let zc = Zipf.create ~n:customers ~theta in
-  let zp = Zipf.create ~n:products ~theta in
-  (* Insert in day order: DAY_IDX ends up clustered. *)
+  let zc = Zipf.create ~n:2000 ~theta:1.0 in
+  let zp = Zipf.create ~n:500 ~theta:1.0 in
+  (* Insert in day order over 365 days: DAY_IDX ends up clustered. *)
   for i = 0 to rows - 1 do
-    let day = i * days / rows in
+    let day = i * 365 / rows in
     ignore
       (Table.insert t
          [|
@@ -74,7 +73,7 @@ let orders ?(rows = 30000) ?(seed = 2) ?(customers = 2000) ?(products = 500) ?(d
   ignore (Table.create_index t ~name:"PRICE_IDX" ~columns:[ "PRICE" ] ());
   t
 
-let sensors ?(rows = 40000) ?(seed = 4) ?(correlation_noise = 200) db =
+let sensors ?(rows = 40000) ?(seed = 4) db =
   let schema =
     Schema.make
       [
@@ -88,7 +87,7 @@ let sensors ?(rows = 40000) ?(seed = 4) ?(correlation_noise = 200) db =
   let rng = Prng.create ~seed in
   for i = 0 to rows - 1 do
     let a = Prng.int rng 10_000 in
-    let b = a + Prng.int_in rng (-correlation_noise) correlation_noise in
+    let b = a + Prng.int_in rng (-200) 200 in
     ignore (Table.insert t [| Value.int i; Value.int i; Value.int a; Value.int b |])
   done;
   ignore (Table.create_index t ~name:"A_IDX" ~columns:[ "A" ] ());
@@ -96,7 +95,7 @@ let sensors ?(rows = 40000) ?(seed = 4) ?(correlation_noise = 200) db =
   ignore (Table.create_index t ~name:"T_IDX" ~columns:[ "T" ] ());
   t
 
-let employees ?(rows = 20000) ?(seed = 3) ?(departments = 40) db =
+let employees ?(rows = 20000) ?(seed = 3) db =
   let schema =
     Schema.make
       [
@@ -110,7 +109,7 @@ let employees ?(rows = 20000) ?(seed = 3) ?(departments = 40) db =
   let t = Database.create_table db ~name:"EMPLOYEES" schema in
   let rng = Prng.create ~seed in
   for i = 0 to rows - 1 do
-    let dept = Prng.int rng departments in
+    let dept = Prng.int rng 40 in
     let salary =
       int_of_float (Prng.normal rng ~mean:60000.0 ~stddev:15000.0)
       |> Int.max 20000 |> Int.min 200000

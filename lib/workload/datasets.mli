@@ -23,33 +23,24 @@ val families : ?rows:int -> ?seed:int -> Database.t -> Table.t
     ~200-byte payload giving realistic record widths).  Index: AGE_IDX
     on AGE. *)
 
-val orders :
-  ?rows:int ->
-  ?seed:int ->
-  ?customers:int ->
-  ?products:int ->
-  ?days:int ->
-  ?theta:float ->
-  Database.t ->
-  Table.t
+val orders : ?rows:int -> ?seed:int -> Database.t -> Table.t
 (** Columns: ID, CUSTOMER, PRODUCT, DAY, PRICE, QTY (ints).  Indexes:
-    CUST_IDX, PROD_IDX, DAY_IDX, PRICE_IDX.  CUSTOMER and PRODUCT are
-    Zipf([theta], default 1.0); rows are inserted in DAY order, so
-    DAY_IDX is clustered. *)
+    CUST_IDX, PROD_IDX, DAY_IDX, PRICE_IDX.  CUSTOMER (2000 values) and
+    PRODUCT (500 values) are Zipf(1.0); rows are inserted in DAY order
+    over 365 days, so DAY_IDX is clustered; PRICE is uniform in
+    [10, 5000). *)
 
-val employees :
-  ?rows:int -> ?seed:int -> ?departments:int -> Database.t -> Table.t
-(** Columns: ID, DEPT, SALARY, AGE (ints), NAME (str).  Indexes:
-    DEPT_SAL_IDX on (DEPT, SALARY) — covering for dept/salary queries —
-    and AGE_IDX on AGE. *)
+val employees : ?rows:int -> ?seed:int -> Database.t -> Table.t
+(** Columns: ID, DEPT (40 departments), SALARY, AGE (ints), NAME
+    (str).  Indexes: DEPT_SAL_IDX on (DEPT, SALARY) — covering for
+    dept/salary queries — and AGE_IDX on AGE. *)
 
-val sensors :
-  ?rows:int -> ?seed:int -> ?correlation_noise:int -> Database.t -> Table.t
+val sensors : ?rows:int -> ?seed:int -> Database.t -> Table.t
 (** Columns: ID, T (insertion-ordered time), A (uniform in [0, 10000)),
-    B = A + uniform noise in [-correlation_noise, +correlation_noise]
-    (default 200) — i.e. A and B are strongly *positively correlated*,
-    the case where the independence assumption underestimates
-    intersections the most (§2's unknown-correlation motivation).
+    B = A + uniform noise in [-200, +200] — i.e. A and B are strongly
+    *positively correlated*, the case where the independence
+    assumption underestimates intersections the most (§2's
+    unknown-correlation motivation).
     Indexes: A_IDX, B_IDX, T_IDX. *)
 
 val fresh_db : ?pool_capacity:int -> ?pool_shards:int -> unit -> Database.t

@@ -21,7 +21,13 @@ type arrival = {
 (* Zipf-flavoured draw without the full sampler: low ids are hot. *)
 let skewed rng n = Prng.int rng (1 + Prng.int rng n)
 
-let template rng ~customers ~products ~days ~price_max i =
+(* Parameter bounds: the {!Datasets.orders} column ranges. *)
+let customers = 2000
+let products = 500
+let days = 365
+let price_max = 5000
+
+let template rng i =
   let open Predicate in
   match i mod 5 with
   | 0 ->
@@ -82,27 +88,26 @@ let template rng ~customers ~products ~days ~price_max i =
         fast_first = true;
       }
 
-let orders_mix ?(customers = 2000) ?(products = 500) ?(days = 365) ?(price_max = 5000)
-    ~seed ~count () =
+let orders_mix ~seed ~count () =
   let rng = Prng.create ~seed in
-  let specs =
-    Array.init count (template rng ~customers ~products ~days ~price_max)
-  in
+  let specs = Array.init count (template rng) in
   Prng.shuffle rng specs;
   Array.to_list specs
 
-let storm ?(customers = 2000) ?(products = 500) ?(days = 365) ?(price_max = 5000)
-    ?(theta = 1.0) ?(deadline_pct = 25) ?(waves = 1) ?(drain_gap = 64) ~seed ~count () =
+(* Percent of storm arrivals that carry a cost deadline. *)
+let deadline_pct = 25
+
+(* Quiet ticks between two waves of a storm. *)
+let drain_gap = 64
+
+let storm ?(waves = 1) ~seed ~count () =
   if count < 0 then invalid_arg "Traffic.storm: count < 0";
-  if deadline_pct < 0 || deadline_pct > 100 then
-    invalid_arg "Traffic.storm: deadline_pct outside [0, 100]";
   if waves < 1 then invalid_arg "Traffic.storm: waves < 1";
-  if drain_gap < 0 then invalid_arg "Traffic.storm: drain_gap < 0";
   let rng = Prng.create ~seed in
   (* Quota declarations are the heavy tail: most sessions declare a
      small bounded quota, a Zipf tail declares large or unbounded
      work — exactly the mix shed-largest-quota is meant to triage. *)
-  let quota_zipf = Zipf.create ~n:32 ~theta in
+  let quota_zipf = Zipf.create ~n:32 ~theta:1.0 in
   (* Arrival gaps are Zipf too: rank 1 (gap 0) dominates, so arrivals
      come in bursts — the storm front — with occasional quiet
      stretches that let the pool drain. *)
@@ -115,7 +120,7 @@ let storm ?(customers = 2000) ?(products = 500) ?(days = 365) ?(price_max = 5000
      storm. *)
   let wave_len = if waves = 1 then max 1 count else (count + waves - 1) / waves in
   List.init count (fun i ->
-      let spec = template rng ~customers ~products ~days ~price_max i in
+      let spec = template rng i in
       if i > 0 && i mod wave_len = 0 then at := !at + drain_gap;
       at := !at + (Zipf.draw gap_zipf rng - 1);
       let rank = Zipf.draw quota_zipf rng in

@@ -28,41 +28,21 @@ type arrival = {
   deadline : float option;  (** cost deadline the submitter attaches, if any *)
 }
 
-val orders_mix :
-  ?customers:int ->
-  ?products:int ->
-  ?days:int ->
-  ?price_max:int ->
-  seed:int ->
-  count:int ->
-  unit ->
-  spec list
+val orders_mix : seed:int -> count:int -> unit -> spec list
 (** [count] specs in a seeded shuffled arrival order, cycling through
-    the five templates with seeded parameters.  Bounds default to the
-    {!Datasets.orders} defaults. *)
+    the five templates with seeded parameters.  Parameters range over
+    the {!Datasets.orders} columns: 2000 customers, 500 products, 365
+    days, prices below 5000. *)
 
-val storm :
-  ?customers:int ->
-  ?products:int ->
-  ?days:int ->
-  ?price_max:int ->
-  ?theta:float ->
-  ?deadline_pct:int ->
-  ?waves:int ->
-  ?drain_gap:int ->
-  seed:int ->
-  count:int ->
-  unit ->
-  arrival list
+val storm : ?waves:int -> seed:int -> count:int -> unit -> arrival list
 (** A deterministic overload storm: [count] arrivals over the same five
     templates, in arrival order.  Arrival ticks advance by Zipf-drawn
     gaps (mostly 0 — bursts — with a heavy tail of quiet stretches);
-    declared quotas follow a Zipf mix with skew [theta] (default 1.0):
-    mostly small bounded quotas, a heavy tail of large or unbounded
-    declarations; [deadline_pct] percent of queries (default 25) carry
-    a tight-skewed cost deadline, including some that are 0 (timed out
-    on arrival).  [waves] (default 1) splits the count into that many
-    equal fronts separated by a [drain_gap]-tick quiet stretch
-    (default 64) — the thousand-session storm shape; at the default
-    the stream is byte-identical to a single front.  Everything flows
-    from [seed]: equal seeds give identical storms. *)
+    declared quotas follow a Zipf(1.0) mix: mostly small bounded
+    quotas, a heavy tail of large or unbounded declarations; 25
+    percent of queries carry a tight-skewed cost deadline, including
+    some that are 0 (timed out on arrival).  [waves] (default 1)
+    splits the count into that many equal fronts separated by a
+    64-tick quiet stretch — the thousand-session storm shape; at the
+    default the stream is byte-identical to a single front.
+    Everything flows from [seed]: equal seeds give identical storms. *)

@@ -24,10 +24,3 @@ let draw t rng =
     if t.cdf.(mid) < u then lo := mid + 1 else hi := mid
   done;
   !lo + 1
-
-let pmf t k =
-  if k < 1 || k > t.n then 0.0
-  else if k = 1 then t.cdf.(0)
-  else t.cdf.(k - 1) -. t.cdf.(k - 2)
-
-let expected_count t k ~total = pmf t k *. float_of_int total

@@ -14,9 +14,3 @@ val create : n:int -> theta:float -> t
 
 val draw : t -> Rdb_util.Prng.t -> int
 (** A rank in [1, n], skewed toward 1. *)
-
-val pmf : t -> int -> float
-(** Probability of rank k. *)
-
-val expected_count : t -> int -> total:int -> float
-(** Expected occurrences of rank [k] among [total] draws. *)

@@ -470,7 +470,7 @@ let test_sampling_uniformity () =
   in
   let rng = Rdb_util.Prng.create ~seed:77 in
   let ranked = Sampling.ranked rng t m ~n:3000 in
-  let ar = Sampling.acceptance_rejection rng t m ~n:3000 () in
+  let ar = Sampling.acceptance_rejection rng t m ~n:3000 in
   check "ranked near truth" true (Float.abs (frac ranked -. below) < 0.05);
   check "a/r near truth" true (Float.abs (frac ar -. below) < 0.05)
 
@@ -483,7 +483,7 @@ let test_ranked_cheaper_than_ar () =
   done;
   let rng = Rdb_util.Prng.create ~seed:13 in
   let ranked = Sampling.ranked rng t m ~n:500 in
-  let ar = Sampling.acceptance_rejection rng t m ~n:500 () in
+  let ar = Sampling.acceptance_rejection rng t m ~n:500 in
   check_int "ranked descents = n" 500 ranked.Sampling.descents;
   check "a/r needs more descents" true (ar.Sampling.descents > ranked.Sampling.descents);
   check "a/r visits more nodes" true (ar.Sampling.nodes_visited > ranked.Sampling.nodes_visited)
@@ -505,7 +505,7 @@ let test_sampling_empty_tree () =
   let rng = Rdb_util.Prng.create ~seed:1 in
   let s = Sampling.ranked rng t m ~n:10 in
   check_int "no samples" 0 (Array.length s.Sampling.samples);
-  let s2 = Sampling.acceptance_rejection rng t m ~n:10 () in
+  let s2 = Sampling.acceptance_rejection rng t m ~n:10 in
   check_int "no samples a/r" 0 (Array.length s2.Sampling.samples)
 
 (* --- edge cases -------------------------------------------------------------- *)

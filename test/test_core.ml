@@ -572,7 +572,10 @@ let test_unknown_column_fails_at_open () =
         (names_nope
            (opens (R.request (And [ indexed =% Value.int 1; "NOPE" =% Value.int 1 ]))));
       check (label ^ ": ORDER BY") true
-        (names_nope (opens (R.request ~order_by:[ "NOPE" ] (indexed =% Value.int 1)))))
+        (names_nope (opens (R.request ~order_by:[ "NOPE" ] (indexed =% Value.int 1))));
+      check (label ^ ": projection") true
+        (names_nope
+           (opens (R.request ~projection:[ "NOPE"; indexed ] (indexed =% Value.int 1)))))
     [ ("empty table", empty, "X"); ("ORDERS", orders, "PRODUCT") ]
 
 let test_union_all_branches_empty () =

@@ -1,5 +1,5 @@
-(* Tests for predicates (3VL), range extraction, tables, catalog, and
-   the selectivity-distribution glue. *)
+(* Tests for predicates (3VL), range extraction, tables, the catalog and
+   histograms. *)
 
 open Rdb_data
 open Rdb_engine
@@ -575,36 +575,6 @@ let test_histogram_staleness () =
   check "snapshot answer" true (est < 600.0);
   check "witness records build size" true (Histogram.built_at_rows h = 500)
 
-(* --- selectivity glue --------------------------------------------------------- *)
-
-let test_selectivity_leaf_uses_index () =
-  let t = mk_table () in
-  let m = Rdb_storage.Cost.create () in
-  let open Predicate in
-  let d = Selectivity.of_predicate ~bins:128 t m ("A" <% Value.int 50) in
-  (* Roughly half the rows: the distribution should be centered well
-     inside (0, 1). *)
-  let mean = Rdb_dist.Dist.mean d in
-  check "mean in (0.2, 0.8)" true (mean > 0.2 && mean < 0.8)
-
-let test_selectivity_unknown_is_uniform () =
-  let t = mk_table () in
-  let m = Rdb_storage.Cost.create () in
-  let open Predicate in
-  let d = Selectivity.of_predicate ~bins:128 t m (Like ("S", "%x%")) in
-  check "uniform-ish" true (Rdb_dist.Dist.stddev d > 0.25)
-
-let test_selectivity_and_shrinks () =
-  let t = mk_table () in
-  let m = Rdb_storage.Cost.create () in
-  let open Predicate in
-  let single = Selectivity.of_predicate ~bins:128 t m ("A" <% Value.int 50) in
-  let conj =
-    Selectivity.of_predicate ~bins:128 t m
-      (And [ "A" <% Value.int 50; Like ("S", "%x%") ])
-  in
-  check "AND mean below single" true (Rdb_dist.Dist.mean conj < Rdb_dist.Dist.mean single +. 0.02)
-
 let () =
   Alcotest.run "rdb_engine"
     [
@@ -656,11 +626,5 @@ let () =
           Alcotest.test_case "estimates" `Quick test_histogram_estimates;
           Alcotest.test_case "predicate coverage" `Quick test_histogram_predicate_coverage;
           Alcotest.test_case "staleness" `Quick test_histogram_staleness;
-        ] );
-      ( "selectivity",
-        [
-          Alcotest.test_case "leaf uses index" `Quick test_selectivity_leaf_uses_index;
-          Alcotest.test_case "unknown is uniform" `Quick test_selectivity_unknown_is_uniform;
-          Alcotest.test_case "AND shrinks" `Quick test_selectivity_and_shrinks;
         ] );
     ]

@@ -139,7 +139,7 @@ let test_bounds () =
       check
         (Printf.sprintf "max grant gap bounded for %s (%d)" s.S.s_label s.S.s_max_gap)
         true
-        (s.S.s_max_gap <= S.default_config.S.starvation_bound))
+        (s.S.s_max_gap <= S.starvation_bound))
     all_in.S.sessions
 
 let test_lifecycle () =
@@ -158,6 +158,58 @@ let test_lifecycle () =
   Alcotest.check_raises "bad config rejected"
     (Invalid_argument "Session.create: max_inflight < 1") (fun () ->
       ignore (S.create ~config:{ S.default_config with S.max_inflight = 0 } db))
+
+let product_one = R.request Predicate.("PRODUCT" =% Value.int 1)
+
+(* A table built in another database reads through a pool the
+   scheduler neither meters nor shards: refused at submission. *)
+let test_foreign_table_rejected () =
+  let db, _ = Lazy.force fixture in
+  let other = Datasets.orders ~rows:2000 (Datasets.fresh_db ()) in
+  let sched = S.create db in
+  Alcotest.check_raises "query on another database's table"
+    (Invalid_argument "Session.submit: table ORDERS is not in the scheduler's database")
+    (fun () -> ignore (S.submit sched other product_one));
+  Alcotest.check_raises "repair of another database's index"
+    (Invalid_argument
+       "Session.submit_repair: table ORDERS is not in the scheduler's database")
+    (fun () -> ignore (S.submit_repair sched other ~index:"PROD_IDX"))
+
+let test_negative_limit_rejected () =
+  let db, table = Lazy.force fixture in
+  Alcotest.check_raises "Retrieval.run"
+    (Invalid_argument "Retrieval.run: negative limit -1") (fun () ->
+      ignore (R.run ~limit:(-1) table product_one));
+  Alcotest.check_raises "Session.submit"
+    (Invalid_argument "Session.submit: negative limit -1") (fun () ->
+      ignore (S.submit (S.create db) ~limit:(-1) table product_one))
+
+(* A NaN deadline compares false against every charged cost, so it
+   would switch the bound off. *)
+let test_nan_deadline_rejected () =
+  let db, table = Lazy.force fixture in
+  let config = { R.default_config with R.deadline = Some Float.nan } in
+  Alcotest.check_raises "Retrieval config"
+    (Invalid_argument "Retrieval.open_: deadline is NaN") (fun () ->
+      ignore (R.run ~config table product_one));
+  Alcotest.check_raises "submit ?deadline"
+    (Invalid_argument "Session.submit: deadline is NaN") (fun () ->
+      ignore (S.submit (S.create db) ~deadline:Float.nan table product_one));
+  Alcotest.check_raises "submit ?config"
+    (Invalid_argument "Session.submit: deadline is NaN") (fun () ->
+      ignore (S.submit (S.create db) ~config ~deadline:5.0 table product_one))
+
+(* A NaN quota compares false both ways, so its admission rank would
+   depend on its position in the queue. *)
+let test_nan_quota_rejected () =
+  let db, table = Lazy.force fixture in
+  let sched = S.create db in
+  Alcotest.check_raises "submit"
+    (Invalid_argument "Session.submit: quota is NaN") (fun () ->
+      ignore (S.submit sched ~quota:Float.nan table product_one));
+  Alcotest.check_raises "submit_repair"
+    (Invalid_argument "Session.submit_repair: quota is NaN") (fun () ->
+      ignore (S.submit_repair sched ~quota:Float.nan table ~index:"PROD_IDX"))
 
 let test_quota_admission_order () =
   let db, table = Lazy.force fixture in
@@ -707,6 +759,11 @@ let () =
             test_quota_admission_order;
           Alcotest.test_case "zero-step quantum rejected" `Quick
             test_zero_step_quantum_rejected;
+          Alcotest.test_case "table from another database rejected" `Quick
+            test_foreign_table_rejected;
+          Alcotest.test_case "negative limit rejected" `Quick test_negative_limit_rejected;
+          Alcotest.test_case "NaN deadline rejected" `Quick test_nan_deadline_rejected;
+          Alcotest.test_case "NaN quota rejected" `Quick test_nan_quota_rejected;
         ] );
       ( "overload",
         [
