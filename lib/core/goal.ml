@@ -29,5 +29,3 @@ let resolve ?explicit ?context ~default () =
       match explicit with
       | Some g -> (g, "user request")
       | None -> (default, "default"))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -30,4 +30,3 @@ val resolve :
     the user request. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -200,19 +200,17 @@ let run ?(config = Session.default_config) ?(crashes = []) ?(repairs = []) db su
         ignore (Session.submit_repair sched ~label tbl ~index:idx))
       !pending_repairs;
     let rep = Session.run sched in
-    List.iter
-      (fun (e, id) ->
-        match
-          List.find_opt (fun s -> s.Session.s_id = id) rep.Session.sessions
-        with
-        | None -> ()
-        | Some s -> (
-            match s.Session.s_outcome with
-            | Session.Lost _ -> e.e_lost <- e.e_lost + 1
-            | o ->
-                e.e_final <- Some o;
-                e.e_rows <- Session.rows_of sched id))
-      submitted;
+    (* The report lists query sessions in submission order, and every
+       query was submitted before the repairs: it pairs one-to-one with
+       this epoch's submissions. *)
+    List.iter2
+      (fun (e, id) s ->
+        match s.Session.s_outcome with
+        | Session.Lost _ -> e.e_lost <- e.e_lost + 1
+        | o ->
+            e.e_final <- Some o;
+            e.e_rows <- Session.rows_of sched id)
+      submitted rep.Session.sessions;
     let crash_tick = rep.Session.pool.Session.p_crash_tick in
     let actions =
       match crash_tick with

@@ -56,9 +56,7 @@ let outcome_to_string = function
 type event =
   | Submitted of { id : id; label : string }
   | Admitted of { id : id; tick : int; waited : int }
-  | Finished of { id : id; tick : int; rows : int }
-  | Shed_event of { id : id; tick : int; reason : string }
-  | Timed_out_event of { id : id; tick : int; spent : float; deadline : float }
+  | Finished of { id : id; tick : int; rows : int; outcome : outcome }
   | Degraded of { id : id; tick : int; depth : int }
   | Crashed of { tick : int; lost : int }
 
@@ -154,39 +152,46 @@ type job = {
   mutable j_quanta : int;
   mutable j_charged : float;
   mutable j_queue_wait : int;
-  mutable j_admitted_at : int;
   mutable j_last_grant : int;  (** tick of the last grant (or admission) *)
   mutable j_max_gap : int;
-  mutable j_outcome : outcome option;
+  mutable j_outcome : outcome option;  (** set once, by [finish] only *)
   mutable j_degraded : bool;
 }
 
 type t = {
   cfg : config;
   db : Database.t;
-  mutable jobs : job list;  (** reversed submission order *)
-  mutable next_id : int;
+  jobs : job Rdb_util.Dynarray.t;  (** indexed by id: ids are dense *)
   mutable events : event list;  (** reversed *)
   mutable ran : bool;
 }
 
+(* A NaN compares false both ways, so [quantum <= 0.0] would let a NaN
+   quantum through (every grant then runs to the step cap) and a NaN
+   cost crash point would never fire. *)
 let create ?(config = default_config) db =
   if config.max_inflight < 1 then invalid_arg "Session.create: max_inflight < 1";
-  if config.quantum <= 0.0 then invalid_arg "Session.create: quantum <= 0";
+  if not (config.quantum > 0.0) then
+    invalid_arg (Printf.sprintf "Session.create: quantum %g is not > 0" config.quantum);
   if config.max_steps_per_quantum < 1 then
     invalid_arg "Session.create: max_steps_per_quantum < 1";
   if config.max_queue < 0 then invalid_arg "Session.create: max_queue < 0";
   if config.pressure_threshold < 0 then
     invalid_arg "Session.create: pressure_threshold < 0";
-  { cfg = config; db; jobs = []; next_id = 0; events = []; ran = false }
+  List.iter
+    (function
+      | Crash_at_cost c when Float.is_nan c ->
+          invalid_arg "Session.create: crash point Crash_at_cost nan"
+      | Crash_at_cost _ | Crash_at_grant _ -> ())
+    config.crash_points;
+  { cfg = config; db; jobs = Rdb_util.Dynarray.create (); events = []; ran = false }
 
 let emit t e = if t.cfg.record_events then t.events <- e :: t.events
 
 let fresh_job t ?label ?(arrive_at = 0) ~default_label ~quota work =
   if t.ran then invalid_arg "Session.submit: scheduler already ran";
   if arrive_at < 0 then invalid_arg "Session.submit: arrive_at < 0";
-  let id = t.next_id in
-  t.next_id <- id + 1;
+  let id = Rdb_util.Dynarray.length t.jobs in
   let label = match label with Some l -> l | None -> default_label id in
   let j =
     {
@@ -199,14 +204,13 @@ let fresh_job t ?label ?(arrive_at = 0) ~default_label ~quota work =
       j_quanta = 0;
       j_charged = 0.0;
       j_queue_wait = 0;
-      j_admitted_at = 0;
       j_last_grant = 0;
       j_max_gap = 0;
       j_outcome = None;
       j_degraded = false;
     }
   in
-  t.jobs <- j :: t.jobs;
+  Rdb_util.Dynarray.push t.jobs j;
   emit t (Submitted { id; label });
   id
 
@@ -279,38 +283,27 @@ let degradations (s : Retrieval.summary) =
 let admission_key j =
   match j.j_quota with Some quota -> (quota, j.j_id) | None -> (infinity, j.j_id)
 
-let pick_admission pending =
-  match pending with
+(* The job with the least [key]; every key ends in the job id, so the
+   choice never depends on list order. *)
+let least key = function
   | [] -> None
   | first :: rest ->
       Some
-        (List.fold_left
-           (fun best j -> if admission_key j < admission_key best then j else best)
-           first rest)
+        (List.fold_left (fun best j -> if key j < key best then j else best) first rest)
 
 (* Shedding victim: [Shed_newest] drops the most recent arrival (the
    storm's marginal query), [Shed_largest_quota] drops the largest
    declared quota (unbounded work first) — ties broken newest-first so
-   both policies are total orders. *)
-let pick_victim policy pending =
-  let key j =
-    match policy with
-    | Shed_newest -> (0.0, j.j_id)
-    | Shed_largest_quota ->
-        ((match j.j_quota with Some q -> q | None -> infinity), j.j_id)
-  in
-  match pending with
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun best j -> if key j > key best then j else best)
-           first rest)
+   both policies are total orders.  Keys are negated for [least]. *)
+let victim_key policy j =
+  match (policy, j.j_quota) with
+  | Shed_newest, _ -> (0.0, -j.j_id)
+  | Shed_largest_quota, Some q -> (-.q, -j.j_id)
+  | Shed_largest_quota, None -> (neg_infinity, -j.j_id)
 
 let query_finished q =
-  match q.q_limit with
-  | Some n when Option.is_some q.q_cursor ->
-      Retrieval.rows_delivered (Option.get q.q_cursor) >= n
+  match (q.q_limit, q.q_cursor) with
+  | Some n, Some c -> Retrieval.rows_delivered c >= n
   | _ -> false
 
 let job_rows j =
@@ -318,10 +311,300 @@ let job_rows j =
   | W_query q -> List.length q.q_rows
   | W_repair r -> ( match r.r_repair with Some rp -> Repair.entries rp | None -> 0)
 
+(* --- the run: a state record and its transitions ----------------------- *)
+
+(* Every job is in exactly one place: [unarrived] (sorted by arrival
+   tick, then id, so each arrival peels a prefix), [pending] (arrived,
+   waiting for admission), [active] (admitted, holding a cursor or a
+   rebuild), or ended, with [j_outcome] set by [finish].  The four
+   outcome counters are the ledger; [finish] keeps them. *)
+type run_state = {
+  t : t;
+  meter0 : Cost.t;  (** global meter at the start of the run *)
+  mutable unarrived : job list;
+  mutable pending : job list;
+  mutable active : job list;
+  mutable tick : int;
+  mutable max_inflight_seen : int;
+  mutable crash_tick : int option;
+  mutable served : int;
+  mutable shed : int;
+  mutable timed_out : int;
+  mutable lost : int;
+}
+
+let metric_incr st name =
+  Option.iter (fun m -> Rdb_util.Metrics.(incr (counter m name))) st.t.cfg.metrics
+
+(* The one transition that ends a job.  A lost job's rows, cursor and
+   summary vanish with the process — no close, no summary, no feedback
+   teaching — and it gets no event of its own: the crash's [Crashed]
+   event counts it.  Any other outcome closes the cursor, if one was
+   ever opened, into the session's summary. *)
+let finish st j outcome =
+  (match (j.j_work, outcome) with
+  | W_query q, Lost _ ->
+      q.q_rows <- [];
+      q.q_cursor <- None;
+      q.q_summary <- None
+  | W_query q, (Served | Timed_out _ | Shed _) ->
+      q.q_summary <- Option.map Retrieval.close q.q_cursor
+  | W_repair _, _ -> ());
+  assert (j.j_outcome = None);
+  j.j_outcome <- Some outcome;
+  (match outcome with
+  | Served -> st.served <- st.served + 1
+  | Timed_out _ ->
+      st.timed_out <- st.timed_out + 1;
+      metric_incr st "session.timed_out"
+  | Shed _ ->
+      st.shed <- st.shed + 1;
+      metric_incr st "session.shed"
+  | Lost _ ->
+      st.lost <- st.lost + 1;
+      metric_incr st "session.lost");
+  match outcome with
+  | Lost _ -> ()
+  | Served | Timed_out _ | Shed _ ->
+      emit st.t (Finished { id = j.j_id; tick = st.tick; rows = job_rows j; outcome })
+
+(* Move every job whose arrival tick has come into the queue.  A
+   deadline that is already spent on arrival (<= 0) exits right here
+   with a structured timeout: no cursor, no planning cost. *)
+let arrive st =
+  let rec peel acc = function
+    | j :: rest when j.j_arrive_at <= st.tick -> peel (j :: acc) rest
+    | rest -> (acc, rest)
+  in
+  let now_rev, later = peel [] st.unarrived in
+  st.unarrived <- later;
+  (* Process the batch in submission order (the peel yields
+     arrival-tick order) so the event log is unchanged. *)
+  let now = List.sort (fun a b -> compare a.j_id b.j_id) now_rev in
+  List.iter
+    (fun j ->
+      j.j_arrived_tick <- st.tick;
+      match j.j_work with
+      | W_query { q_config = { Retrieval.deadline = Some d; _ }; _ } when d <= 0.0 ->
+          finish st j (Timed_out { deadline = d; spent = 0.0 })
+      | _ -> st.pending <- st.pending @ [ j ])
+    now
+
+let admit st =
+  let cfg = st.t.cfg in
+  while List.length st.active < cfg.max_inflight && st.pending <> [] do
+    match least admission_key st.pending with
+    | None -> ()
+    | Some j ->
+        st.pending <- List.filter (fun p -> p.j_id <> j.j_id) st.pending;
+        j.j_queue_wait <- st.tick - j.j_arrived_tick;
+        j.j_last_grant <- st.tick;
+        (* Graceful degradation: once the queue behind this admission
+           is deep enough, drop the competitive background-refinement
+           arms (the paper's bgr) — fast-first LIMIT probes keep
+           their refinement because bgr is their only row source.
+           Rows are invariant either way (Retrieval pins this). *)
+        let depth = List.length st.pending in
+        (match j.j_work with
+        | W_query q ->
+            let config =
+              if
+                depth >= cfg.pressure_threshold
+                && q.q_limit = None
+                && q.q_config.Retrieval.bgr_enabled
+              then begin
+                j.j_degraded <- true;
+                metric_incr st "session.degraded";
+                emit st.t (Degraded { id = j.j_id; tick = st.tick; depth });
+                { q.q_config with Retrieval.bgr_enabled = false }
+              end
+              else q.q_config
+            in
+            (* Plan choice happens here, sequentially: competition
+               state is born inside this cursor and never shared.  A
+               repair likewise moves its index to Rebuilding here. *)
+            q.q_cursor <- Some (Retrieval.open_ ~config q.q_table q.q_request)
+        | W_repair r -> r.r_repair <- Some (Repair.create r.r_rtable ~index:r.r_rindex));
+        emit st.t (Admitted { id = j.j_id; tick = st.tick; waited = j.j_queue_wait });
+        st.active <- st.active @ [ j ];
+        st.max_inflight_seen <- max st.max_inflight_seen (List.length st.active)
+  done
+
+(* Bounded queue: whatever admission could not drain past [max_queue]
+   is shed with a structured outcome — the victim never opens a
+   cursor, so a shed query charges nothing and perturbs nothing. *)
+let shed_excess st =
+  let cfg = st.t.cfg in
+  let reason =
+    match cfg.shed_policy with
+    | Shed_newest -> "queue full (shed-newest)"
+    | Shed_largest_quota -> "queue full (shed-largest-quota)"
+  in
+  while List.length st.pending > cfg.max_queue do
+    match least (victim_key cfg.shed_policy) st.pending with
+    | None -> ()
+    | Some j ->
+        st.pending <- List.filter (fun p -> p.j_id <> j.j_id) st.pending;
+        j.j_queue_wait <- st.tick - j.j_arrived_tick;
+        finish st j (Shed { reason })
+  done
+
+(* Deterministic crash injection (DESIGN.md §15).  Crashes fire only
+   at grant boundaries — the step-boundary crash model — so any
+   multi-operation sequence inside one step (e.g. manifest commit +
+   tree swap) is atomic by construction.  [crash_points = []] (the
+   default) short-circuits: no cost reads, no behaviour change. *)
+let crash_due st =
+  List.exists
+    (function
+      | Crash_at_grant g -> st.tick >= g
+      | Crash_at_cost c ->
+          let meter = Buffer_pool.global_meter (Database.pool st.t.db) in
+          Cost.total meter -. Cost.total st.meter0 >= c)
+    st.t.cfg.crash_points
+
+(* The process dies: every non-terminal submission is lost, in
+   submission order.  Terminal outcomes (served / shed / timed out)
+   already happened and stand.  A crash ends the run, so [st.lost]
+   counts exactly this crash's losses. *)
+let crash st =
+  st.crash_tick <- Some st.tick;
+  Rdb_util.Dynarray.iter
+    (fun j -> if j.j_outcome = None then finish st j (Lost { at_tick = st.tick }))
+    st.t.jobs;
+  st.pending <- [];
+  st.active <- [];
+  st.unarrived <- [];
+  emit st.t (Crashed { tick = st.tick; lost = st.lost })
+
+(* Least-charged-first with a starvation override: any session passed
+   over for [starvation_bound] consecutive grants runs next. *)
+let pick_next st =
+  let gap j = st.tick - j.j_last_grant in
+  match List.filter (fun j -> gap j >= starvation_bound) st.active with
+  | [] -> least (fun j -> (j.j_charged, j.j_id)) st.active
+  | starving -> least (fun j -> (-gap j, j.j_id)) starving
+
+let spent j =
+  match j.j_work with
+  | W_query q -> Retrieval.spent (Option.get q.q_cursor)
+  | W_repair r -> Repair.spent (Option.get r.r_repair)
+
+(* Both work kinds share the one clocked grant loop (exposed as
+   [Retrieval.grant] / [Repair.grant] over the generic driver): stop
+   when the job finishes, the query's cost deadline is reached (the
+   cursor checks its own bound), the quantum's cost is spent, or the
+   step cap is hit — all checked before each step.  [None] means the
+   job paused with work left. *)
+let run_quantum cfg j =
+  match j.j_work with
+  | W_query q -> (
+      let cursor = Option.get q.q_cursor in
+      match
+        Retrieval.grant cursor ~budget:cfg.quantum ~max_steps:cfg.max_steps_per_quantum
+          ~stop:(fun () -> query_finished q)
+          ~on_row:(fun row -> q.q_rows <- row :: q.q_rows)
+      with
+      | `Exhausted -> Some Served
+      | `Paused -> if query_finished q then Some Served else None
+      | `Timed_out ->
+          let deadline = Option.get q.q_config.Retrieval.deadline in
+          Some (Timed_out { deadline; spent = Retrieval.spent cursor }))
+  | W_repair r -> (
+      match
+        Repair.grant (Option.get r.r_repair) ~budget:cfg.quantum
+          ~max_steps:cfg.max_steps_per_quantum
+      with
+      | Some ok ->
+          r.r_result <- Some ok;
+          Some Served
+      | None -> None)
+
+let grant st j =
+  (* queue depth at grant time: runnable sessions plus those still
+     waiting for admission *)
+  Option.iter
+    (fun m ->
+      let depth = List.length st.active + List.length st.pending in
+      Rdb_util.Metrics.(observe (histogram m "session.queue_depth") (float_of_int depth)))
+    st.t.cfg.metrics;
+  j.j_max_gap <- max j.j_max_gap (st.tick - j.j_last_grant);
+  j.j_last_grant <- st.tick;
+  st.tick <- st.tick + 1;
+  j.j_quanta <- j.j_quanta + 1;
+  let before = spent j in
+  let ended = run_quantum st.t.cfg j in
+  j.j_charged <- j.j_charged +. (spent j -. before);
+  match ended with
+  | None -> ()
+  | Some outcome ->
+      finish st j outcome;
+      st.active <- List.filter (fun p -> p.j_id <> j.j_id) st.active
+
+(* One scheduling round; [false] once the run is over.  A round either
+   grants (the tick advances), idles the pool forward to the next
+   arrival, or ends the run, so the run terminates. *)
+let step st =
+  if crash_due st then begin
+    crash st;
+    false
+  end
+  else begin
+    arrive st;
+    admit st;
+    shed_excess st;
+    match (pick_next st, st.unarrived) with
+    | Some j, _ ->
+        grant st j;
+        true
+    | None, [] -> false
+    | None, j :: _ ->
+        (* sorted by arrival tick: the head is the next arrival *)
+        st.tick <- max st.tick j.j_arrive_at;
+        true
+  end
+
+let session_stats j q =
+  {
+    s_id = j.j_id;
+    s_label = j.j_label;
+    s_rows = List.length q.q_rows;
+    s_quanta = j.j_quanta;
+    s_charged = j.j_charged;
+    s_queue_wait = j.j_queue_wait;
+    s_max_gap = j.j_max_gap;
+    s_degradations = (match q.q_summary with Some s -> degradations s | None -> 0);
+    s_outcome = Option.get j.j_outcome;
+    s_degraded = j.j_degraded;
+    s_summary = q.q_summary;
+  }
+
+(* A crash can leave a repair with no [Repair.t] at all (lost before
+   admission) — report it with zero work. *)
+let repair_stats j r =
+  let entries, trace =
+    match r.r_repair with
+    | Some rp -> (Repair.entries rp, Trace.events (Repair.trace rp))
+    | None -> (0, [])
+  in
+  {
+    r_id = j.j_id;
+    r_label = j.j_label;
+    r_index = r.r_rindex;
+    r_entries = entries;
+    r_ok = (match r.r_result with Some ok -> ok | None -> false);
+    r_quanta = j.j_quanta;
+    r_charged = j.j_charged;
+    r_queue_wait = j.j_queue_wait;
+    r_max_gap = j.j_max_gap;
+    r_retries =
+      List.length (List.filter (function Trace.Fault_retry _ -> true | _ -> false) trace);
+    r_trace = trace;
+  }
+
 let run t =
   if t.ran then invalid_arg "Session.run: scheduler already ran";
   t.ran <- true;
-  let all = List.rev t.jobs in
   let pool = Database.pool t.db in
   (* Repartition before the first access so every block of the run maps
      through the requested shard count.  Resharding drops residency
@@ -331,356 +614,67 @@ let run t =
   (match t.cfg.pool_shards with
   | None -> ()
   | Some n -> if Buffer_pool.shards pool <> n then Buffer_pool.reshard pool ~shards:n);
-  let meter0 = Cost.snapshot (Buffer_pool.global_meter pool) in
   let shard_lookups0 = Buffer_pool.shard_lookups pool in
+  let all = Rdb_util.Dynarray.to_list t.jobs in
   (* Everyone starts unarrived — the first [arrive] at tick 0 moves the
      arrive-at-0 submissions in, so the deadline-on-arrival check is
-     one code path.  Sorted by arrival tick so each [arrive] peels a
-     prefix instead of partitioning the whole remainder (the partition
-     was quadratic in submissions across the run — visible at
-     thousand-session storms). *)
-  let unarrived =
-    ref
-      (List.sort
-         (fun a b -> compare (a.j_arrive_at, a.j_id) (b.j_arrive_at, b.j_id))
-         all)
+     one code path. *)
+  let st =
+    {
+      t;
+      meter0 = Cost.snapshot (Buffer_pool.global_meter pool);
+      unarrived =
+        List.sort
+          (fun a b -> compare (a.j_arrive_at, a.j_id) (b.j_arrive_at, b.j_id))
+          all;
+      pending = [];
+      active = [];
+      tick = 0;
+      max_inflight_seen = 0;
+      crash_tick = None;
+      served = 0;
+      shed = 0;
+      timed_out = 0;
+      lost = 0;
+    }
   in
-  let pending = ref [] in
-  let active = ref [] in
-  let tick = ref 0 in
-  let max_inflight_seen = ref 0 in
-  let metric_incr name =
-    match t.cfg.metrics with
-    | None -> ()
-    | Some m ->
-        let module M = Rdb_util.Metrics in
-        M.incr (M.counter m name)
-  in
-  let finish_served j =
-    (match j.j_work with
-    | W_query q -> (
-        match q.q_cursor with
-        | Some c -> q.q_summary <- Some (Retrieval.close c)
-        | None -> ())
-    | W_repair _ -> ());
-    j.j_outcome <- Some Served;
-    emit t (Finished { id = j.j_id; tick = !tick; rows = job_rows j })
-  in
-  let finish_timed_out j ~spent ~deadline =
-    (match j.j_work with
-    | W_query q -> q.q_summary <- Option.map Retrieval.close q.q_cursor
-    | W_repair _ -> assert false (* repairs carry no deadline *));
-    j.j_outcome <- Some (Timed_out { deadline; spent });
-    metric_incr "session.timed_out";
-    emit t (Timed_out_event { id = j.j_id; tick = !tick; spent; deadline })
-  in
-  let finish_shed j ~reason =
-    j.j_queue_wait <- !tick - j.j_arrived_tick;
-    j.j_outcome <- Some (Shed { reason });
-    metric_incr "session.shed";
-    emit t (Shed_event { id = j.j_id; tick = !tick; reason })
-  in
-  (* Move every job whose arrival tick has come into the queue.  A
-     deadline that is already spent on arrival (<= 0) exits right here
-     with a structured timeout: no cursor, no planning cost. *)
-  let arrive () =
-    let rec peel acc = function
-      | j :: rest when j.j_arrive_at <= !tick -> peel (j :: acc) rest
-      | rest -> (acc, rest)
-    in
-    let now_rev, later = peel [] !unarrived in
-    unarrived := later;
-    (* Process the batch in submission order (the peel yields
-       arrival-tick order) so the event log is unchanged. *)
-    let now = List.sort (fun a b -> compare a.j_id b.j_id) now_rev in
-    List.iter
-      (fun j ->
-        j.j_arrived_tick <- !tick;
-        match j.j_work with
-        | W_query { q_config = { Retrieval.deadline = Some d; _ }; _ } when d <= 0.0 ->
-            finish_timed_out j ~spent:0.0 ~deadline:d
-        | _ -> pending := !pending @ [ j ])
-      now
-  in
-  let admit () =
-    while List.length !active < t.cfg.max_inflight && !pending <> [] do
-      match pick_admission !pending with
-      | None -> ()
-      | Some j ->
-          pending := List.filter (fun p -> p.j_id <> j.j_id) !pending;
-          j.j_queue_wait <- !tick - j.j_arrived_tick;
-          j.j_admitted_at <- !tick;
-          j.j_last_grant <- !tick;
-          (* Graceful degradation: once the queue behind this admission
-             is deep enough, drop the competitive background-refinement
-             arms (the paper's bgr) — fast-first LIMIT probes keep
-             their refinement because bgr is their only row source.
-             Rows are invariant either way (Retrieval pins this). *)
-          let depth = List.length !pending in
-          (match j.j_work with
-          | W_query q ->
-              let config =
-                if
-                  depth >= t.cfg.pressure_threshold
-                  && q.q_limit = None
-                  && q.q_config.Retrieval.bgr_enabled
-                then begin
-                  j.j_degraded <- true;
-                  metric_incr "session.degraded";
-                  emit t (Degraded { id = j.j_id; tick = !tick; depth });
-                  { q.q_config with Retrieval.bgr_enabled = false }
-                end
-                else q.q_config
-              in
-              (* Plan choice happens here, sequentially: competition
-                 state is born inside this cursor and never shared.  A
-                 repair likewise moves its index to Rebuilding here. *)
-              q.q_cursor <- Some (Retrieval.open_ ~config q.q_table q.q_request)
-          | W_repair r ->
-              r.r_repair <- Some (Repair.create r.r_rtable ~index:r.r_rindex));
-          emit t (Admitted { id = j.j_id; tick = !tick; waited = j.j_queue_wait });
-          active := !active @ [ j ];
-          max_inflight_seen := max !max_inflight_seen (List.length !active)
-    done
-  in
-  (* Bounded queue: whatever admission could not drain past [max_queue]
-     is shed with a structured outcome — the victim never opens a
-     cursor, so a shed query charges nothing and perturbs nothing. *)
-  let shed_excess () =
-    let reason =
-      match t.cfg.shed_policy with
-      | Shed_newest -> "queue full (shed-newest)"
-      | Shed_largest_quota -> "queue full (shed-largest-quota)"
-    in
-    while List.length !pending > t.cfg.max_queue do
-      match pick_victim t.cfg.shed_policy !pending with
-      | None -> ()
-      | Some j ->
-          pending := List.filter (fun p -> p.j_id <> j.j_id) !pending;
-          finish_shed j ~reason
-    done
-  in
-  let settle () =
-    arrive ();
-    admit ();
-    shed_excess ()
-  in
-  (* Deterministic crash injection (DESIGN.md §15).  Crashes fire only
-     at grant boundaries — the step-boundary crash model — so any
-     multi-operation sequence inside one step (e.g. manifest commit +
-     tree swap) is atomic by construction.  [crash_points = []] (the
-     default) short-circuits: no cost reads, no behaviour change. *)
-  let crash_tick = ref None in
-  let crash_due () =
-    match t.cfg.crash_points with
-    | [] -> false
-    | pts ->
-        List.exists
-          (function
-            | Crash_at_grant g -> !tick >= g
-            | Crash_at_cost c ->
-                Cost.total (Buffer_pool.global_meter pool) -. Cost.total meter0 >= c)
-          pts
-  in
-  (* The process dies: every non-terminal submission loses its rows,
-     cursor and any in-flight rebuild — no close, no summary, no
-     feedback teaching; the work simply vanishes.  Terminal outcomes
-     (served / shed / timed out) already happened and stand. *)
-  let do_crash () =
-    crash_tick := Some !tick;
-    let lost = List.filter (fun j -> j.j_outcome = None) all in
-    List.iter
-      (fun j ->
-        (match j.j_work with
-        | W_query q ->
-            q.q_rows <- [];
-            q.q_cursor <- None;
-            q.q_summary <- None
-        | W_repair _ -> ());
-        j.j_outcome <- Some (Lost { at_tick = !tick });
-        metric_incr "session.lost")
-      lost;
-    pending := [];
-    active := [];
-    unarrived := [];
-    emit t (Crashed { tick = !tick; lost = List.length lost })
-  in
-  (* Least-charged-first with a starvation override: any session passed
-     over for [starvation_bound] consecutive grants runs next. *)
-  let pick_next () =
-    match !active with
-    | [] -> None
-    | _ :: _ ->
-        let gap j = !tick - j.j_last_grant in
-        let starving =
-          List.filter (fun j -> gap j >= starvation_bound) !active
-        in
-        let by_key key js =
-          List.fold_left
-            (fun best j -> if key j < key best then j else best)
-            (List.hd js) js
-        in
-        Some
-          (match starving with
-          | [] -> by_key (fun j -> (j.j_charged, j.j_id)) !active
-          | js -> by_key (fun j -> (-gap j, j.j_id)) js)
-  in
-  let grant j =
-    (match t.cfg.metrics with
-    | None -> ()
-    | Some m ->
-        let module M = Rdb_util.Metrics in
-        (* queue depth at grant time: runnable sessions plus those
-           still waiting for admission *)
-        M.observe
-          (M.histogram m "session.queue_depth")
-          (float_of_int (List.length !active + List.length !pending)));
-    let gap = !tick - j.j_last_grant in
-    j.j_max_gap <- max j.j_max_gap gap;
-    j.j_last_grant <- !tick;
-    incr tick;
-    j.j_quanta <- j.j_quanta + 1;
-    (* Both work kinds share the one clocked grant loop (exposed as
-       [Retrieval.grant] / [Repair.grant] over the generic driver):
-       stop when the job finishes, the query's cost deadline is
-       reached (the cursor checks its own bound), the quantum's cost
-       is spent, or the step cap is hit — all checked before each
-       step. *)
-    match j.j_work with
-    | W_query q ->
-        let cursor = Option.get q.q_cursor in
-        let before = Retrieval.spent cursor in
-        let granted =
-          Retrieval.grant cursor ~budget:t.cfg.quantum
-            ~max_steps:t.cfg.max_steps_per_quantum
-            ~stop:(fun () -> query_finished q)
-            ~on_row:(fun row -> q.q_rows <- row :: q.q_rows)
-        in
-        j.j_charged <- j.j_charged +. (Retrieval.spent cursor -. before);
-        (match granted with
-        | `Exhausted -> finish_served j
-        | `Paused -> if query_finished q then finish_served j
-        | `Timed_out ->
-            finish_timed_out j ~spent:(Retrieval.spent cursor)
-              ~deadline:(Option.get q.q_config.Retrieval.deadline));
-        if Option.is_some j.j_outcome then
-          active := List.filter (fun p -> p.j_id <> j.j_id) !active
-    | W_repair r ->
-        let rp = Option.get r.r_repair in
-        let before = Repair.spent rp in
-        (match
-           Repair.grant rp ~budget:t.cfg.quantum ~max_steps:t.cfg.max_steps_per_quantum
-         with
-        | Some ok -> r.r_result <- Some ok
-        | None -> ());
-        j.j_charged <- j.j_charged +. (Repair.spent rp -. before);
-        if r.r_result <> None then begin
-          finish_served j;
-          active := List.filter (fun p -> p.j_id <> j.j_id) !active
-        end
-  in
-  let rec loop () =
-    if crash_due () then do_crash ()
-    else begin
-      settle ();
-      match pick_next () with
-      | Some j ->
-          grant j;
-          loop ()
-      | None -> (
-          (* No runnable session and (post-settle) nothing admissible: if
-             arrivals remain, the pool idles forward to the next one —
-             each iteration either grants (tick advances) or arrives a
-             job, so the loop terminates. *)
-          match !unarrived with
-          | [] -> ()
-          | j :: _ ->
-              (* sorted by arrival tick: the head is the next arrival *)
-              tick := max !tick j.j_arrive_at;
-              loop ())
-    end
-  in
-  loop ();
+  while step st do
+    ()
+  done;
+  (* The ledger check: every job ended, and ended through [finish]. *)
+  let submitted = Rdb_util.Dynarray.length t.jobs in
+  if
+    List.exists (fun j -> j.j_outcome = None) all
+    || st.served + st.shed + st.timed_out + st.lost <> submitted
+  then failwith "Session.run: the outcome ledger does not match the submissions";
   let meter1 = Buffer_pool.global_meter pool in
-  let physical = Cost.physical_reads meter1 - Cost.physical_reads meter0 in
-  let logical = Cost.logical_reads meter1 - Cost.logical_reads meter0 in
+  let physical = Cost.physical_reads meter1 - Cost.physical_reads st.meter0 in
+  let logical = Cost.logical_reads meter1 - Cost.logical_reads st.meter0 in
   (* Probes this run performed, per shard (the pool counters are
      lifetime totals; shard count is constant during a run). *)
-  let shard_lookups =
-    Array.map2 ( - ) (Buffer_pool.shard_lookups pool) shard_lookups0
-  in
+  let shard_lookups = Array.map2 ( - ) (Buffer_pool.shard_lookups pool) shard_lookups0 in
   let lookup_balance = Buffer_pool.lookup_balance shard_lookups in
-  let outcome_of j = match j.j_outcome with Some o -> o | None -> Served in
   let sessions =
     List.filter_map
       (fun j ->
-        match j.j_work with
-        | W_repair _ -> None
-        | W_query q ->
-            Some
-              {
-                s_id = j.j_id;
-                s_label = j.j_label;
-                s_rows = List.length q.q_rows;
-                s_quanta = j.j_quanta;
-                s_charged = j.j_charged;
-                s_queue_wait = j.j_queue_wait;
-                s_max_gap = j.j_max_gap;
-                s_degradations =
-                  (match q.q_summary with Some s -> degradations s | None -> 0);
-                s_outcome = outcome_of j;
-                s_degraded = j.j_degraded;
-                s_summary = q.q_summary;
-              })
+        match j.j_work with W_query q -> Some (session_stats j q) | W_repair _ -> None)
       all
   in
   let repairs =
     List.filter_map
       (fun j ->
-        match j.j_work with
-        | W_query _ -> None
-        | W_repair r ->
-            (* A crash can leave a repair with no [Repair.t] at all
-               (lost before admission) — report it with zero work. *)
-            let entries, trace =
-              match r.r_repair with
-              | Some rp -> (Repair.entries rp, Trace.events (Repair.trace rp))
-              | None -> (0, [])
-            in
-            Some
-              {
-                r_id = j.j_id;
-                r_label = j.j_label;
-                r_index = r.r_rindex;
-                r_entries = entries;
-                r_ok = (match r.r_result with Some ok -> ok | None -> false);
-                r_quanta = j.j_quanta;
-                r_charged = j.j_charged;
-                r_queue_wait = j.j_queue_wait;
-                r_max_gap = j.j_max_gap;
-                r_retries =
-                  List.length
-                    (List.filter
-                       (function Trace.Fault_retry _ -> true | _ -> false)
-                       trace);
-                r_trace = trace;
-              })
+        match j.j_work with W_repair r -> Some (repair_stats j r) | W_query _ -> None)
       all
   in
-  let total_cost = List.fold_left (fun acc j -> acc +. j.j_charged) 0.0 all in
-  let count pred = List.length (List.filter pred all) in
-  let submitted = List.length all in
-  let served = count (fun j -> outcome_of j = Served) in
-  let shed = count (fun j -> match outcome_of j with Shed _ -> true | _ -> false) in
-  let timed_out =
-    count (fun j -> match outcome_of j with Timed_out _ -> true | _ -> false)
+  let hit_rate =
+    if physical + logical = 0 then 1.0
+    else float_of_int logical /. float_of_int (physical + logical)
   in
-  let lost = count (fun j -> match outcome_of j with Lost _ -> true | _ -> false) in
   (match t.cfg.metrics with
   | None -> ()
   | Some m ->
       let module M = Rdb_util.Metrics in
-      M.add (M.counter m "session.grants") !tick;
+      M.add (M.counter m "session.grants") st.tick;
       M.add (M.counter m "session.queries") (List.length sessions);
       if repairs <> [] then M.add (M.counter m "session.repairs") (List.length repairs);
       let max_gap = List.fold_left (fun acc j -> max acc j.j_max_gap) 0 all in
@@ -690,9 +684,7 @@ let run t =
       M.set
         (M.gauge m "session.starvation_margin")
         (float_of_int (starvation_bound - max_gap));
-      M.set (M.gauge m "session.hit_rate")
-        (if physical + logical = 0 then 1.0
-         else float_of_int logical /. float_of_int (physical + logical));
+      M.set (M.gauge m "session.hit_rate") hit_rate;
       (* balance gauge only on a partitioned pool, mirroring the
          pool.shard<k>.* counters: shards = 1 records nothing new *)
       if Buffer_pool.shards pool > 1 then
@@ -708,20 +700,18 @@ let run t =
     repairs;
     pool =
       {
-        p_grants = !tick;
+        p_grants = st.tick;
         p_physical = physical;
         p_logical = logical;
-        p_hit_rate =
-          (if physical + logical = 0 then 1.0
-           else float_of_int logical /. float_of_int (physical + logical));
-        p_total_cost = total_cost;
-        p_max_inflight_seen = !max_inflight_seen;
+        p_hit_rate = hit_rate;
+        p_total_cost = List.fold_left (fun acc j -> acc +. j.j_charged) 0.0 all;
+        p_max_inflight_seen = st.max_inflight_seen;
         p_submitted = submitted;
-        p_served = served;
-        p_shed = shed;
-        p_timed_out = timed_out;
-        p_lost = lost;
-        p_crash_tick = !crash_tick;
+        p_served = st.served;
+        p_shed = st.shed;
+        p_timed_out = st.timed_out;
+        p_lost = st.lost;
+        p_crash_tick = st.crash_tick;
         p_shards = Buffer_pool.shards pool;
         p_shard_lookups = shard_lookups;
         p_lookup_balance = lookup_balance;
@@ -729,29 +719,34 @@ let run t =
     events = List.rev t.events;
   }
 
+let job_of t who id =
+  if id < 0 || id >= Rdb_util.Dynarray.length t.jobs then
+    invalid_arg (Printf.sprintf "Session.%s: unknown id" who);
+  Rdb_util.Dynarray.get t.jobs id
+
 let rows_of t id =
-  match List.find_opt (fun j -> j.j_id = id) t.jobs with
-  | Some { j_work = W_query q; _ } -> List.rev q.q_rows
-  | Some { j_work = W_repair _; _ } -> invalid_arg "Session.rows_of: id is a repair"
-  | None -> invalid_arg "Session.rows_of: unknown id"
+  match (job_of t "rows_of" id).j_work with
+  | W_query q -> List.rev q.q_rows
+  | W_repair _ -> invalid_arg "Session.rows_of: id is a repair"
 
 let repair_of t id =
-  match List.find_opt (fun j -> j.j_id = id) t.jobs with
-  | Some { j_work = W_repair r; _ } -> r.r_result
-  | Some { j_work = W_query _; _ } -> invalid_arg "Session.repair_of: id is a query"
-  | None -> invalid_arg "Session.repair_of: unknown id"
+  match (job_of t "repair_of" id).j_work with
+  | W_repair r -> r.r_result
+  | W_query _ -> invalid_arg "Session.repair_of: id is a query"
 
 let event_to_string = function
   | Submitted { id; label } -> Printf.sprintf "submitted q%d (%s)" id label
   | Admitted { id; tick; waited } ->
       Printf.sprintf "admitted q%d at grant %d (waited %d)" id tick waited
-  | Finished { id; tick; rows } ->
+  | Finished { id; tick; rows; outcome = Served } ->
       Printf.sprintf "finished q%d at grant %d (%d rows)" id tick rows
-  | Shed_event { id; tick; reason } ->
+  | Finished { id; tick; outcome = Shed { reason }; _ } ->
       Printf.sprintf "shed q%d at grant %d (%s)" id tick reason
-  | Timed_out_event { id; tick; spent; deadline } ->
+  | Finished { id; tick; outcome = Timed_out { spent; deadline }; _ } ->
       Printf.sprintf "timed out q%d at grant %d (%.1f spent of %.1f)" id tick spent
         deadline
+  | Finished { id; tick; outcome = Lost _; _ } ->
+      Printf.sprintf "lost q%d at grant %d" id tick
   | Degraded { id; tick; depth } ->
       Printf.sprintf "degraded q%d at grant %d (queue depth %d)" id tick depth
   | Crashed { tick; lost } ->

@@ -132,15 +132,18 @@ type outcome =
 
 val outcome_to_string : outcome -> string
 
+(** The scheduler's event log, in the order things happened.  Every
+    submission gets exactly one {!event.Finished} carrying its
+    outcome, except a {!outcome.Lost} one, which the run's single
+    {!event.Crashed} counts instead. *)
 type event =
   | Submitted of { id : id; label : string }
   | Admitted of { id : id; tick : int; waited : int }
       (** [waited] = grants issued between arrival and admission *)
-  | Finished of { id : id; tick : int; rows : int }
-  | Shed_event of { id : id; tick : int; reason : string }
-      (** the bounded queue dropped this submission *)
-  | Timed_out_event of { id : id; tick : int; spent : float; deadline : float }
-      (** the cost deadline cancelled this session at a grant boundary *)
+  | Finished of { id : id; tick : int; rows : int; outcome : outcome }
+      (** the job ended at grant [tick] with [outcome] ([Served],
+          [Shed] or [Timed_out], never [Lost]); [rows] is what it had
+          delivered (a repair: the entries it copied) *)
   | Degraded of { id : id; tick : int; depth : int }
       (** admitted under pressure with background refinement disabled *)
   | Crashed of { tick : int; lost : int }
@@ -193,7 +196,9 @@ type pool_stats = {
   p_lost : int;
       (** exact accounting:
           served + shed + timed_out + lost = submitted (lost is 0
-          unless a crash point fired) *)
+          unless a crash point fired).  The four counters are kept as
+          each job ends, not recounted from the sessions, and {!run}
+          checks the sum *)
   p_crash_tick : int option;
       (** the grant at which the run crashed; [None] on a clean run *)
   p_shards : int;  (** buffer-pool shard count during the run *)
@@ -215,9 +220,11 @@ type report = {
 type t
 
 val create : ?config:config -> Database.t -> t
-(** Raises [Invalid_argument] when [max_inflight < 1], [quantum <= 0],
-    [max_steps_per_quantum < 1] (a grant of zero steps would never
-    finish a query), [max_queue < 0] or [pressure_threshold < 0]. *)
+(** Raises [Invalid_argument] when [max_inflight < 1], [quantum] is not
+    [> 0] (NaN included), [max_steps_per_quantum < 1] (a grant of zero
+    steps would never finish a query), [max_queue < 0],
+    [pressure_threshold < 0], or a [Crash_at_cost] point is NaN (it
+    would never fire). *)
 
 val submit :
   t ->
@@ -262,7 +269,14 @@ val run : t -> report
 (** Drive every submitted query to a structured exit — [Served],
     [Timed_out], [Shed], or [Lost] when a crash point fires — and
     return the report.  May be called once; reuse requires a fresh
-    scheduler. *)
+    scheduler.
+
+    One transition ends every job: it sets the outcome (once), bumps
+    that outcome's ledger counter and emits the job's
+    {!event.Finished}.  Before building the report, [run] checks the
+    ledger — every submission has an outcome and the counters sum to
+    [p_submitted] — and raises [Failure] if not.  The check is always
+    on and costs O(1) per transition. *)
 
 val rows_of : t -> id -> Row.t list
 (** Rows the session delivered, in delivery order (valid after
@@ -271,8 +285,6 @@ val rows_of : t -> id -> Row.t list
 val repair_of : t -> id -> bool option
 (** Outcome of a repair job ([None] before {!run}).  Raises
     [Invalid_argument] on a query id. *)
-
-val event_to_string : event -> string
 
 val report_to_string : report -> string
 (** Deterministic text rendering: one line per submission — shed and

@@ -17,8 +17,6 @@ let hash { page; slot } =
 
 let to_string { page; slot } = Printf.sprintf "%d:%d" page slot
 
-let pp fmt r = Format.pp_print_string fmt (to_string r)
-
 let to_int { page; slot } ~slots_per_page = (page * slots_per_page) + slot
 
 let of_int i ~slots_per_page =

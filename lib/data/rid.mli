@@ -14,7 +14,6 @@ val hash : t -> int
 (** Mixed hash for hashed bitmap filters [Babb79]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val to_int : t -> slots_per_page:int -> int
 (** Dense encoding used by exact (non-hashed) page bitmaps. *)

@@ -170,5 +170,3 @@ let compare_at cols a b =
 
 let to_string r =
   "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_string r)) ^ ")"
-
-let pp fmt r = Format.pp_print_string fmt (to_string r)

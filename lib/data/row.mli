@@ -7,7 +7,6 @@
 type t = Value.t array
 
 val get : t -> int -> Value.t
-val size_bytes : t -> int
 
 val encode : t -> Bytes.t
 val decode : Bytes.t -> t
@@ -45,4 +44,3 @@ val compare_at : int array -> t -> t -> int
 (** Lexicographic comparison on the given column positions. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

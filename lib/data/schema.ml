@@ -16,7 +16,6 @@ let make cols =
 
 let columns t = Array.to_list t.cols
 let arity t = Array.length t.cols
-let column t i = t.cols.(i)
 
 let index_of t name =
   match Hashtbl.find_opt t.by_name name with
@@ -56,14 +55,5 @@ let validate_row t row =
       row;
     match !err with None -> Ok () | Some e -> Error e
   end
-
-let pp fmt t =
-  Format.fprintf fmt "(%s)"
-    (String.concat ", "
-       (List.map
-          (fun c ->
-            Printf.sprintf "%s %s%s" c.name (ty_to_string c.ty)
-              (if c.nullable then "" else " NOT NULL"))
-          (columns t)))
 
 let col ?(nullable = false) name ty = { name; ty; nullable }

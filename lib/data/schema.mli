@@ -13,7 +13,6 @@ val make : column list -> t
 
 val columns : t -> column list
 val arity : t -> int
-val column : t -> int -> column
 val index_of : t -> string -> int
 (** Position of a column by name.  Raises [Not_found]. *)
 
@@ -22,8 +21,6 @@ val mem : t -> string -> bool
 
 val validate_row : t -> Value.t array -> (unit, string) result
 (** Arity, type and nullability check. *)
-
-val pp : Format.formatter -> t -> unit
 
 val col : ?nullable:bool -> string -> Value.ty -> column
 (** Convenience constructor; [nullable] defaults to false. *)

@@ -30,8 +30,6 @@ let to_string = function
   | Float f -> Printf.sprintf "%g" f
   | Str s -> s
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 let size_bytes = function
   | Null -> 1
   | Int _ -> 8

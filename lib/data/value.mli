@@ -28,8 +28,6 @@ val is_null : t -> bool
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 val size_bytes : t -> int
 (** Approximate stored size, used for page-capacity accounting. *)
 

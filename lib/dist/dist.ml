@@ -221,14 +221,6 @@ let variance t =
 
 let stddev t = sqrt (variance t)
 
-let mode t =
-  let n = bins t in
-  let best = ref 0 in
-  for i = 1 to n - 1 do
-    if t.d.(i) > t.d.(!best) then best := i
-  done;
-  midpoint n !best
-
 let sample rng t = quantile t (Rdb_util.Prng.float rng 1.0)
 
 let scale_cost t cmax =

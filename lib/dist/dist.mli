@@ -97,15 +97,11 @@ val quantile : t -> float -> float
 (** Inverse CDF; [quantile d 0.5] is the median. *)
 
 val mean : t -> float
-val variance : t -> float
 val stddev : t -> float
 
 val mass_below : t -> float -> float
 (** Same as {!cdf}; reads better in L-shape contexts: "mass
     concentrated below s". *)
-
-val mode : t -> float
-(** Midpoint of the highest-density bin. *)
 
 val sample : Rdb_util.Prng.t -> t -> float
 (** Draw a selectivity by inverse-CDF sampling. *)

@@ -52,7 +52,6 @@ let observe t name v =
   match t.observer with None -> () | Some f -> f name v
 
 let configure t config = t.cfg <- config
-let config t = t.cfg
 
 let entry t name =
   match Hashtbl.find_opt t.entries name with
@@ -165,9 +164,6 @@ let restore_quarantined t ~now ~escalations name =
     t.cfg.backoff_budget *. (t.cfg.backoff_factor ** float_of_int escalations);
   e.due_at <- now +. e.budget;
   observe t name (Verdict_quarantined { escalations })
-
-let escalations t name =
-  match Hashtbl.find_opt t.entries name with Some e -> e.escalations | None -> 0
 
 let probe_due t ~now name =
   match Hashtbl.find_opt t.entries name with

@@ -65,8 +65,6 @@ val configure : t -> config -> unit
 (** Replace the config (tests tighten backoff budgets).  Existing
     entries keep their current escalated budgets. *)
 
-val config : t -> config
-
 val state : t -> string -> state
 (** [Healthy] for a structure never reported. *)
 
@@ -126,9 +124,6 @@ val restore_quarantined : t -> now:float -> escalations:int -> string -> unit
     probe is due a full budget after [now] — exactly the state the
     pre-crash registry would have reached by the same escalations.
     Raises [Invalid_argument] on a negative count. *)
-
-val escalations : t -> string -> int
-(** Current backoff escalation count (0 if never escalated). *)
 
 (** {1 Queries} *)
 

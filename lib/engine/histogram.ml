@@ -51,7 +51,6 @@ let build ?(buckets = 64) table ~column meter =
     build_cost = Cost.total meter -. before;
   }
 
-let buckets t = Array.length t.counts
 let built_at_rows t = t.rows_at_build
 let build_cost t = t.build_cost
 

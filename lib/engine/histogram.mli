@@ -24,7 +24,6 @@ val build : ?buckets:int -> Table.t -> column:string -> Cost.t -> t
     is charged to the meter.  Non-numeric and NULL values are skipped.
     Raises [Invalid_argument] on an unknown column. *)
 
-val buckets : t -> int
 val built_at_rows : t -> int
 (** The table's row count at build time (staleness witness). *)
 

@@ -114,7 +114,6 @@ val simplify : t -> t
 (** Flatten nested And/Or, drop [True]/[False] units, fold constants.
     Does not reorder operands. *)
 
-val comparison_to_string : comparison -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

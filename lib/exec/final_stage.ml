@@ -54,5 +54,4 @@ let step t =
   end
 
 let drop_cache t = Heap_file.invalidate_cache t.cache
-let meter t = t.meter
 let skipped_delivered t = t.skipped

@@ -28,5 +28,4 @@ val drop_cache : t -> unit
 (** Invalidate the page-handle fetch cache.  The driving cursor calls
     this on every batch boundary. *)
 
-val meter : t -> Cost.t
 val skipped_delivered : t -> int

@@ -98,8 +98,6 @@ let cursor t =
     ~on_yield:(fun () -> drop_cache t)
     (fun () -> step t)
 
-let meter t = t.meter
 let fetched t = t.fetched
 let rejected_after_fetch t = t.rejected
 let saved_by_filter t = t.saved
-let index_name t = t.idx.Table.idx_name

@@ -30,8 +30,6 @@ val drop_cache : t -> unit
 (** Invalidate the fetch cache.  Callers driving [step] directly must
     call this whenever control leaves their quantum. *)
 
-val meter : t -> Cost.t
-
 val fetched : t -> int
 (** Record fetches performed. *)
 
@@ -41,5 +39,3 @@ val rejected_after_fetch : t -> int
 
 val saved_by_filter : t -> int
 (** Fetches avoided thanks to the attached filter. *)
-
-val index_name : t -> string

@@ -486,4 +486,3 @@ let borrow t =
 let guaranteed_best t = t.g
 let completed_scans t = t.n_completed
 let discarded_scans t = t.n_discarded
-let meter t = t.meter

@@ -81,11 +81,6 @@ val quarantine : t -> Fault.failure -> unit
     degrades to [Recommend_tscan]).  The competition continues with
     the remaining candidates.  No-op if no fault is pending. *)
 
-val cursor : t -> Scan.cursor
-(** The competition as a row-less batch-quantum cursor: productive
-    steps yield no rows (the result is the {!outcome} RID list),
-    faults surface as batch status for the driver's policy. *)
-
 val outcome : t -> outcome option
 (** [None] until the competition settles. *)
 
@@ -101,4 +96,3 @@ val borrow : t -> Rid.t option
 val guaranteed_best : t -> float
 val completed_scans : t -> int
 val discarded_scans : t -> int
-val meter : t -> Cost.t

@@ -41,6 +41,4 @@ let step t =
       else Scan.Continue
 
 let cursor t = Scan.cursor_of_step ~cost:(fun () -> Cost.total t.meter) (fun () -> step t)
-let meter t = t.meter
 let delivered t = t.delivered
-let index_name t = t.idx.Table.idx_name

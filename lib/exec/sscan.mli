@@ -22,6 +22,4 @@ val cursor : t -> Scan.cursor
 (** The scan as a batch-quantum cursor (the uniform driver
     interface). *)
 
-val meter : t -> Cost.t
 val delivered : t -> int
-val index_name : t -> string

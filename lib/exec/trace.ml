@@ -111,6 +111,3 @@ let event_to_string = function
       Printf.sprintf "recovery: resubmitted rebuild of %s" index
   | Reissued { label; epoch } ->
       Printf.sprintf "recovery: reissued %s in epoch %d" label epoch
-
-let pp fmt t =
-  Dynarray.iter (fun e -> Format.fprintf fmt "%s@." (event_to_string e)) t

@@ -83,4 +83,3 @@ val emit : t -> event -> unit
 val events : t -> event list
 val count : t -> (event -> bool) -> int
 val event_to_string : event -> string
-val pp : Format.formatter -> t -> unit

@@ -43,5 +43,4 @@ let step t =
   end
 
 let cursor t = Scan.cursor_of_step ~cost:(fun () -> Cost.total t.meter) (fun () -> step t)
-let meter t = t.meter
 let examined t = t.examined

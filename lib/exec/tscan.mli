@@ -22,6 +22,5 @@ val cursor : t -> Scan.cursor
 (** The scan as a batch-quantum cursor (the uniform driver
     interface). *)
 
-val meter : t -> Cost.t
 val examined : t -> int
 (** Records looked at so far. *)

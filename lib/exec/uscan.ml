@@ -221,5 +221,3 @@ let run t =
   | Ok () -> ()
   | Error _ -> (* the abandon rung absorbs, never stops *) assert false);
   match t.finished with Some o -> o | None -> assert false
-
-let meter t = t.meter

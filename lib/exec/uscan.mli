@@ -45,11 +45,6 @@ val abandon : t -> Fault.failure -> unit
 (** Non-retriable fault: a union owes every disjunct's rows, so the
     whole arrangement is dropped in favour of [Recommend_tscan]. *)
 
-val cursor : t -> Scan.cursor
-(** The union as a row-less batch-quantum cursor: productive steps
-    yield no rows (the result is the {!outcome} RID list), faults
-    surface as batch status for the driver's policy. *)
-
 val outcome : t -> outcome option
 (** [None] until the union finishes (or is abandoned). *)
 
@@ -58,5 +53,3 @@ val run : t -> outcome
     [retry-transient ⇒ abandon] {!Tactic.Policy} ladder: transient
     faults retry in place, anything else abandons to
     [Recommend_tscan]. *)
-
-val meter : t -> Cost.t

@@ -35,9 +35,6 @@ val add : t -> Rid.t -> unit
 val count : t -> int
 val tier : t -> tier
 
-val seal : t -> unit
-(** Flush the spill tail; no more adds. *)
-
 val filter : t -> Filter.t
 (** Seals, then: exact sorted filter while in-memory; hashed bitmap if
     spilled. *)

@@ -70,7 +70,6 @@ type statement =
 
 val agg_name : agg -> string
 
-val operand_to_string : operand -> string
 val select_to_string : select -> string
 (** Render back to parseable SQL: [Parser.parse_select (select_to_string s)]
     reproduces [s] (modulo float formatting).  Used by EXPLAIN output

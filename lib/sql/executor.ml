@@ -23,6 +23,21 @@ let check_status (summary : Retrieval.summary) =
   | Retrieval.Completed -> ()
   | s -> fail "retrieval %s" (Retrieval.status_to_string s)
 
+let find_table db name =
+  match Database.find_table db name with
+  | Some t -> t
+  | None -> fail "no such table: %s" name
+
+(* A host variable outside a WHERE clause (INSERT values, UPDATE
+   assignments) resolves like one inside it: unbound raises
+   [Predicate.Unbound_param]. *)
+let resolve env = function
+  | Ast.Lit v -> v
+  | Ast.Host h -> (
+      match List.assoc_opt h env with
+      | Some v -> v
+      | None -> raise (Predicate.Unbound_param h))
+
 let operand_to_pred = function
   | Ast.Lit v -> Predicate.Const v
   | Ast.Host h -> Predicate.Param h
@@ -39,11 +54,78 @@ let agg_columns = function
   | Ast.Count_star -> []
   | Ast.Count c | Ast.Sum c | Ast.Avg c | Ast.Min c | Ast.Max c -> [ c ]
 
-let projection_columns db (sel : Ast.select) =
+let merge_limits a b =
+  match (a, b) with
+  | Some a, Some b -> Some (Int.min a b)
+  | Some _, None -> a
+  | None, _ -> b
+
+(* One aggregate over [rows]; [col] resolves a column to its position. *)
+let aggregate ~col rows agg =
+  let non_null c =
+    let i = col c in
+    List.filter (fun v -> not (Value.is_null v)) (List.map (fun r -> Row.get r i) rows)
+  in
+  let numeric c = List.filter_map Value.as_float (non_null c) in
+  (* the first of the values [keep] prefers over every later one *)
+  let extremum keep c =
+    match non_null c with
+    | [] -> Value.Null
+    | v :: rest ->
+        List.fold_left (fun a b -> if keep (Value.compare b a) then b else a) v rest
+  in
+  match agg with
+  | Ast.Count_star -> Value.int (List.length rows)
+  | Ast.Count c -> Value.int (List.length (non_null c))
+  | Ast.Sum c -> (
+      match numeric c with
+      | [] -> Value.Null
+      | xs ->
+          let s = List.fold_left ( +. ) 0.0 xs in
+          if Float.is_integer s then Value.int (int_of_float s) else Value.float s)
+  | Ast.Avg c -> (
+      match numeric c with
+      | [] -> Value.Null
+      | xs -> Value.float (List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)))
+  | Ast.Min c -> extremum (fun d -> d < 0) c
+  | Ast.Max c -> extremum (fun d -> d > 0) c
+
+module Value_rows = Set.Make (struct
+  type t = Value.t list
+
+  let compare = List.compare Value.compare
+end)
+
+(* What both SELECT paths do once the rows are retrieved (and, for a
+   join, sorted): aggregate or project, then DISTINCT, then LIMIT.
+   DISTINCT keeps the first of each duplicate, so the delivered order
+   — an ORDER BY — survives it, and the LIMIT keeps the right rows.
+   [col] resolves a column name to its position in [rows]. *)
+let select_output (sel : Ast.select) ~col ~limit rows =
+  let out =
+    match sel.Ast.projection with
+    | Ast.Aggs aggs -> [ List.map (fun (a, _) -> aggregate ~col rows a) aggs ]
+    | Ast.Star -> List.map Array.to_list rows
+    | Ast.Cols cs ->
+        let ids = List.map col cs in
+        List.map (fun row -> List.map (Row.get row) ids) rows
+  in
+  let out =
+    if not sel.Ast.distinct then out
+    else
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (seen, kept) r ->
+                if Value_rows.mem r seen then (seen, kept)
+                else (Value_rows.add r seen, r :: kept))
+              (Value_rows.empty, []) out))
+  in
+  match limit with Some n -> List.filteri (fun i _ -> i < n) out | None -> out
+
+let projection_columns schema (sel : Ast.select) =
   match sel.Ast.projection with
-  | Ast.Star ->
-      let table = Database.table db sel.Ast.table in
-      List.map (fun c -> c.Schema.name) (Schema.columns (Table.schema table))
+  | Ast.Star -> List.map (fun c -> c.Schema.name) (Schema.columns schema)
   | Ast.Cols cs -> cs
   | Ast.Aggs aggs -> List.sort_uniq compare (List.concat_map (fun (a, _) -> agg_columns a) aggs)
 
@@ -60,7 +142,7 @@ let goal_context_of_select db (sel : Ast.select) ~outer =
             if sel.Ast.order_by <> [] then begin
               (* A SORT node exists only if no index delivers the
                  order. *)
-              let table = Database.table db sel.Ast.table in
+              let table = find_table db sel.Ast.table in
               let provided =
                 List.exists
                   (fun idx -> Table.index_provides_order idx ~order:sel.Ast.order_by)
@@ -118,11 +200,7 @@ and run_select db env config summaries (sel : Ast.select) ~outer ?force_limit ()
   | None -> run_single db env config summaries sel ~outer ?force_limit ()
 
 and run_single db env config summaries (sel : Ast.select) ~outer ?force_limit () =
-  let table =
-    match Database.find_table db sel.Ast.table with
-    | Some t -> t
-    | None -> fail "no such table: %s" sel.Ast.table
-  in
+  let table = find_table db sel.Ast.table in
   let schema = Table.schema table in
   let restriction =
     match sel.Ast.where with
@@ -130,75 +208,25 @@ and run_single db env config summaries (sel : Ast.select) ~outer ?force_limit ()
     | Some c -> cond_to_predicate db env config summaries c
   in
   let context = goal_context_of_select db sel ~outer in
-  let proj_cols = projection_columns db sel in
+  let proj_cols = projection_columns schema sel in
   List.iter
     (fun c -> if not (Schema.mem schema c) then fail "unknown column %s" c)
     (proj_cols @ sel.Ast.order_by @ Predicate.columns restriction);
+  let limit = merge_limits sel.Ast.limit force_limit in
+  (* DISTINCT and aggregates need every qualifying row before their
+     LIMIT; only a forced limit (EXISTS: one row is enough) reaches the
+     retrieval. *)
   let needs_post = sel.Ast.distinct || (match sel.Ast.projection with Ast.Aggs _ -> true | _ -> false) in
-  let own_limit = if needs_post then None else sel.Ast.limit in
-  let push_limit =
-    match (own_limit, force_limit) with
-    | Some a, Some b -> Some (Int.min a b)
-    | Some a, None -> Some a
-    | None, l -> l
-  in
   let req =
     Retrieval.request ~env ?explicit_goal:sel.Ast.optimize ?context
       ~order_by:sel.Ast.order_by ~projection:proj_cols restriction
   in
-  let rows, summary = Retrieval.run ?config ?limit:push_limit table req in
+  let rows, summary =
+    Retrieval.run ?config ?limit:(if needs_post then force_limit else limit) table req
+  in
   summaries := !summaries @ [ (sel.Ast.table, summary) ];
   check_status summary;
-  let proj_ids = List.map (Schema.index_of schema) proj_cols in
-  let project row = List.map (Row.get row) proj_ids in
-  match sel.Ast.projection with
-  | Ast.Aggs aggs ->
-      let values col =
-        let i = Schema.index_of schema col in
-        List.map (fun r -> Row.get r i) rows
-      in
-      let non_null col = List.filter (fun v -> not (Value.is_null v)) (values col) in
-      let numeric col =
-        List.filter_map Value.as_float (non_null col)
-      in
-      let compute = function
-        | Ast.Count_star -> Value.int (List.length rows)
-        | Ast.Count c -> Value.int (List.length (non_null c))
-        | Ast.Sum c ->
-            let xs = numeric c in
-            if xs = [] then Value.Null
-            else begin
-              let s = List.fold_left ( +. ) 0.0 xs in
-              if Float.is_integer s then Value.int (int_of_float s) else Value.float s
-            end
-        | Ast.Avg c ->
-            let xs = numeric c in
-            if xs = [] then Value.Null
-            else Value.float (List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs))
-        | Ast.Min c -> (
-            match non_null c with
-            | [] -> Value.Null
-            | v :: rest -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest)
-        | Ast.Max c -> (
-            match non_null c with
-            | [] -> Value.Null
-            | v :: rest -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest)
-      in
-      [ List.map (fun (a, _) -> compute a) aggs ]
-  | Ast.Star | Ast.Cols _ ->
-      let projected = List.map project rows in
-      let projected =
-        if sel.Ast.distinct then
-          List.sort_uniq (fun a b -> List.compare Value.compare a b) projected
-        else projected
-      in
-      let projected =
-        match (needs_post, sel.Ast.limit) with
-        | true, Some n -> List.filteri (fun i _ -> i < n) projected
-        | _ -> projected
-      in
-      projected
-
+  select_output sel ~col:(Schema.index_of schema) ~limit rows
 
 (* --- two-table joins ------------------------------------------------- *)
 
@@ -228,18 +256,11 @@ and rename_predicate f pred =
    pre-ordering).  Probes are memoized per join value. *)
 and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
   let a_name = sel.Ast.table in
-  let ta =
-    match Database.find_table db a_name with
-    | Some t -> t
-    | None -> fail "no such table: %s" a_name
-  in
-  let tb =
-    match Database.find_table db b_name with
-    | Some t -> t
-    | None -> fail "no such table: %s" b_name
-  in
+  let ta = find_table db a_name in
+  let tb = find_table db b_name in
   if a_name = b_name then fail "self-joins need distinct table names";
   let sa = Table.schema ta and sb = Table.schema tb in
+  let schema = joined_schema ~sa ~sb ~a_name ~b_name in
   (* Canonicalize a (possibly qualified) column to "TABLE.COL". *)
   let canon col =
     match String.index_opt col '.' with
@@ -275,114 +296,119 @@ and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
           (Predicate.bind (cond_to_predicate db env config summaries c) env)
   in
   let restriction = Predicate.simplify restriction in
-  if restriction = Predicate.False then
-    finalize_join db sel ~canon ~sa ~sb ~a_name ~b_name [] ?force_limit ()
-  else begin
-    let conjuncts =
-      match restriction with Predicate.And ts -> ts | Predicate.True -> [] | t -> [ t ]
-    in
-    let join_cond = ref None in
-    let outer = ref [] and inner = ref [] and post = ref [] in
-    List.iter
-      (fun conj ->
-        let sides = List.sort_uniq compare (List.map side (Predicate.columns conj)) in
-        match (conj, sides) with
-        | _, [ `A ] -> outer := conj :: !outer
-        | _, [ `B ] -> inner := conj :: !inner
-        | Predicate.Cmp_col (x, Predicate.Eq, y), [ `A; `B ] when !join_cond = None ->
-            let a_col, b_col = if side x = `A then (x, y) else (y, x) in
-            join_cond := Some (strip a_name a_col, strip b_name b_col)
-        | _, [] -> outer := conj :: !outer
-        | _ -> post := conj :: !post)
-      conjuncts;
-    let outer_pred =
-      Predicate.simplify (Predicate.And (List.rev_map (rename_predicate (strip a_name)) !outer))
-    in
-    let inner_pred =
-      Predicate.simplify (Predicate.And (List.rev_map (rename_predicate (strip b_name)) !inner))
-    in
-    let post_pred = Predicate.simplify (Predicate.And (List.rev !post)) in
-    (* Outer retrieval: one dynamic run. *)
-    let outer_rows, outer_summary =
-      Retrieval.run ?config ta (Retrieval.request ~env outer_pred)
-    in
-    summaries := !summaries @ [ (a_name, outer_summary) ];
-    check_status outer_summary;
-    (* Inner probes: one parameterized retrieval per distinct join
-       value, memoized. *)
-    let probe_cost = ref 0.0 and probe_rows = ref 0 and probes = ref 0 and hits = ref 0 in
-    let last_tactic = ref Retrieval.Static_tscan and last_goal = ref Rdb_core.Goal.Total_time in
-    let last_policy = ref (Retrieval.policy_description Retrieval.Static_tscan) in
-    let cache : (Value.t, Row.t list) Hashtbl.t = Hashtbl.create 64 in
-    let probe v =
-      match Hashtbl.find_opt cache v with
-      | Some rows ->
-          incr hits;
-          rows
-      | None ->
-          incr probes;
-          let pred =
-            match !join_cond with
-            | Some (_, b_col) ->
-                Predicate.simplify
-                  (Predicate.And [ inner_pred; Predicate.Cmp (b_col, Predicate.Eq, Predicate.Const v) ])
-            | None -> inner_pred
-          in
-          let rows, s = Retrieval.run ?config tb (Retrieval.request ~env pred) in
-          check_status s;
-          probe_cost := !probe_cost +. s.Retrieval.total_cost;
-          probe_rows := !probe_rows + s.Retrieval.rows_delivered;
-          last_tactic := s.Retrieval.tactic;
-          last_goal := s.Retrieval.goal;
-          last_policy := s.Retrieval.policy;
-          Hashtbl.replace cache v rows;
-          rows
-    in
-    let combined = ref [] in
-    let join_pos = Option.map (fun (a_col, _) -> Schema.index_of sa a_col) !join_cond in
-    List.iter
-      (fun (a_row : Row.t) ->
-        let join_value = Option.map (Row.get a_row) join_pos in
-        match join_value with
-        | Some Value.Null -> () (* NULL never joins *)
-        | Some v ->
-            List.iter
-              (fun b_row -> combined := Array.append a_row b_row :: !combined)
-              (probe v)
+  let rows =
+    if restriction = Predicate.False then []
+    else begin
+      let conjuncts =
+        match restriction with Predicate.And ts -> ts | Predicate.True -> [] | t -> [ t ]
+      in
+      let join_cond = ref None in
+      let outer = ref [] and inner = ref [] and post = ref [] in
+      List.iter
+        (fun conj ->
+          let sides = List.sort_uniq compare (List.map side (Predicate.columns conj)) in
+          match (conj, sides) with
+          | _, [ `A ] -> outer := conj :: !outer
+          | _, [ `B ] -> inner := conj :: !inner
+          | Predicate.Cmp_col (x, Predicate.Eq, y), [ `A; `B ] when !join_cond = None ->
+              let a_col, b_col = if side x = `A then (x, y) else (y, x) in
+              join_cond := Some (strip a_name a_col, strip b_name b_col)
+          | _, [] -> outer := conj :: !outer
+          | _ -> post := conj :: !post)
+        conjuncts;
+      let outer_pred =
+        Predicate.simplify
+          (Predicate.And (List.rev_map (rename_predicate (strip a_name)) !outer))
+      in
+      let inner_pred =
+        Predicate.simplify
+          (Predicate.And (List.rev_map (rename_predicate (strip b_name)) !inner))
+      in
+      let post_pred = Predicate.simplify (Predicate.And (List.rev !post)) in
+      (* Outer retrieval: one dynamic run. *)
+      let outer_rows, outer_summary =
+        Retrieval.run ?config ta (Retrieval.request ~env outer_pred)
+      in
+      summaries := !summaries @ [ (a_name, outer_summary) ];
+      check_status outer_summary;
+      (* Inner probes: one parameterized retrieval per distinct join
+         value, memoized. *)
+      let probe_cost = ref 0.0 and probe_rows = ref 0 in
+      let probes = ref 0 and hits = ref 0 in
+      let last_tactic = ref Retrieval.Static_tscan and last_goal = ref Goal.Total_time in
+      let last_policy = ref (Retrieval.policy_description Retrieval.Static_tscan) in
+      let cache : (Value.t, Row.t list) Hashtbl.t = Hashtbl.create 64 in
+      let probe v =
+        match Hashtbl.find_opt cache v with
+        | Some rows ->
+            incr hits;
+            rows
         | None ->
-            List.iter
-              (fun b_row -> combined := Array.append a_row b_row :: !combined)
-              (probe Value.Null))
-      outer_rows;
-    let combined = List.rev !combined in
-    (* Synthesize an aggregate summary for the probe side. *)
-    let probe_summary =
-      {
-        Retrieval.rows_delivered = !probe_rows;
-        total_cost = !probe_cost;
-        cost_to_first_row = None;
-        tactic = !last_tactic;
-        goal = !last_goal;
-        goal_provenance =
-          Printf.sprintf "per-iteration dynamic probes (%d probes, %d memoized)" !probes
-            !hits;
-        policy = !last_policy;
-        status = Retrieval.Completed;
-        trace = [];
-      }
-    in
-    summaries := !summaries @ [ (b_name, probe_summary) ];
-    (* Post-filter on the combined schema, then finalize. *)
-    let rows = combined in
-    let rows =
+            incr probes;
+            let pred =
+              match !join_cond with
+              | Some (_, b_col) ->
+                  let key = Predicate.Cmp (b_col, Predicate.Eq, Predicate.Const v) in
+                  Predicate.simplify (Predicate.And [ inner_pred; key ])
+              | None -> inner_pred
+            in
+            let rows, s = Retrieval.run ?config tb (Retrieval.request ~env pred) in
+            check_status s;
+            probe_cost := !probe_cost +. s.Retrieval.total_cost;
+            probe_rows := !probe_rows + s.Retrieval.rows_delivered;
+            last_tactic := s.Retrieval.tactic;
+            last_goal := s.Retrieval.goal;
+            last_policy := s.Retrieval.policy;
+            Hashtbl.replace cache v rows;
+            rows
+      in
+      let combined = ref [] in
+      let join_pos = Option.map (fun (a_col, _) -> Schema.index_of sa a_col) !join_cond in
+      List.iter
+        (fun (a_row : Row.t) ->
+          let join_value = Option.map (Row.get a_row) join_pos in
+          match join_value with
+          | Some Value.Null -> () (* NULL never joins *)
+          | Some v ->
+              List.iter
+                (fun b_row -> combined := Array.append a_row b_row :: !combined)
+                (probe v)
+          | None ->
+              List.iter
+                (fun b_row -> combined := Array.append a_row b_row :: !combined)
+                (probe Value.Null))
+        outer_rows;
+      (* Synthesize an aggregate summary for the probe side. *)
+      let probe_summary =
+        {
+          Retrieval.rows_delivered = !probe_rows;
+          total_cost = !probe_cost;
+          cost_to_first_row = None;
+          tactic = !last_tactic;
+          goal = !last_goal;
+          goal_provenance =
+            Printf.sprintf "per-iteration dynamic probes (%d probes, %d memoized)" !probes
+              !hits;
+          policy = !last_policy;
+          status = Retrieval.Completed;
+          trace = [];
+        }
+      in
+      summaries := !summaries @ [ (b_name, probe_summary) ];
+      (* Post-filter on the combined schema. *)
       match post_pred with
-      | Predicate.True -> rows
+      | Predicate.True -> List.rev !combined
       | p ->
-          let p = Predicate.compile p (joined_schema ~sa ~sb ~a_name ~b_name) in
-          List.filter (Predicate.test p) rows
-    in
-    finalize_join db sel ~canon ~sa ~sb ~a_name ~b_name rows ?force_limit ()
-  end
+          List.filter (Predicate.test (Predicate.compile p schema)) (List.rev !combined)
+    end
+  in
+  let col c = Schema.index_of schema (canon c) in
+  let rows =
+    match sel.Ast.order_by with
+    | [] -> rows
+    | cs -> List.stable_sort (Row.compare_at (Array.of_list (List.map col cs))) rows
+  in
+  select_output sel ~col ~limit:(merge_limits sel.Ast.limit force_limit) rows
 
 and joined_schema ~sa ~sb ~a_name ~b_name =
   Schema.make
@@ -392,91 +418,6 @@ and joined_schema ~sa ~sb ~a_name ~b_name =
     @ List.map
         (fun c -> Schema.col ~nullable:true (b_name ^ "." ^ c.Schema.name) c.Schema.ty)
         (Schema.columns sb))
-
-and finalize_join db sel ~canon ~sa ~sb ~a_name ~b_name rows ?force_limit () =
-  ignore db;
-  let schema = joined_schema ~sa ~sb ~a_name ~b_name in
-  let proj_cols =
-    match sel.Ast.projection with
-    | Ast.Star ->
-        List.map (fun c -> c.Schema.name) (Schema.columns schema)
-    | Ast.Cols cs -> List.map canon cs
-    | Ast.Aggs aggs ->
-        List.sort_uniq compare (List.concat_map (fun (a, _) -> List.map canon (agg_columns a)) aggs)
-  in
-  (* ORDER BY on the combined rows. *)
-  let rows =
-    if sel.Ast.order_by = [] then rows
-    else begin
-      let ids =
-        Array.of_list (List.map (fun c -> Schema.index_of schema (canon c)) sel.Ast.order_by)
-      in
-      List.stable_sort (Row.compare_at ids) rows
-    end
-  in
-  let proj_ids = List.map (Schema.index_of schema) proj_cols in
-  let project row = List.map (Row.get row) proj_ids in
-  let projected =
-    match sel.Ast.projection with
-    | Ast.Aggs aggs ->
-        let values col =
-          let i = Schema.index_of schema (canon col) in
-          List.map (fun r -> Row.get r i) rows
-        in
-        let non_null col = List.filter (fun v -> not (Value.is_null v)) (values col) in
-        let numeric col = List.filter_map Value.as_float (non_null col) in
-        let compute = function
-          | Ast.Count_star -> Value.int (List.length rows)
-          | Ast.Count c -> Value.int (List.length (non_null c))
-          | Ast.Sum c ->
-              let xs = numeric c in
-              if xs = [] then Value.Null
-              else begin
-                let s = List.fold_left ( +. ) 0.0 xs in
-                if Float.is_integer s then Value.int (int_of_float s) else Value.float s
-              end
-          | Ast.Avg c ->
-              let xs = numeric c in
-              if xs = [] then Value.Null
-              else Value.float (List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs))
-          | Ast.Min c -> (
-              match non_null c with
-              | [] -> Value.Null
-              | v :: rest ->
-                  List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v rest)
-          | Ast.Max c -> (
-              match non_null c with
-              | [] -> Value.Null
-              | v :: rest ->
-                  List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v rest)
-        in
-        [ List.map (fun (a, _) -> compute a) aggs ]
-    | Ast.Star | Ast.Cols _ ->
-        let projected = List.map project rows in
-        let projected =
-          if sel.Ast.distinct then
-            List.sort_uniq (fun a b -> List.compare Value.compare a b) projected
-          else projected
-        in
-        projected
-  in
-  let limit =
-    match (sel.Ast.limit, force_limit) with
-    | Some a, Some b -> Some (Int.min a b)
-    | Some a, None -> Some a
-    | None, l -> l
-  in
-  match limit with
-  | Some n -> List.filteri (fun i _ -> i < n) projected
-  | None -> projected
-
-
-let resolve_operand env = function
-  | Ast.Lit v -> v
-  | Ast.Host h -> (
-      match List.assoc_opt h env with
-      | Some v -> v
-      | None -> raise (Predicate.Unbound_param h))
 
 (* Materialize the qualifying (rid, row) pairs *before* mutating —
    classic Halloween protection: an UPDATE that moves a row within an
@@ -499,87 +440,18 @@ let collect_pairs db env config (tbl : Table.t) where summaries =
   check_status summary;
   pairs
 
-let execute_dml ?(env = []) ?config db stmt =
-  match stmt with
-  | Ast.Delete { from; where } ->
-      let tbl =
-        match Database.find_table db from with
-        | Some t -> t
-        | None -> fail "no such table: %s" from
-      in
-      let summaries = ref [] in
-      let pairs = collect_pairs db env config tbl where summaries in
-      let deleted =
-        List.fold_left
-          (fun acc (rid, _) -> if Table.delete tbl rid then acc + 1 else acc)
-          0 pairs
-      in
-      {
-        columns = [];
-        rows = [];
-        summaries = !summaries;
-        message = Some (Printf.sprintf "%d row(s) deleted from %s" deleted from);
-      }
-  | Ast.Update { table; assignments; where } ->
-      let tbl =
-        match Database.find_table db table with
-        | Some t -> t
-        | None -> fail "no such table: %s" table
-      in
-      let schema = Table.schema tbl in
-      let resolved =
-        List.map
-          (fun (col, o) ->
-            match Schema.find schema col with
-            | Some i -> (i, resolve_operand env o)
-            | None -> fail "unknown column %s" col)
-          assignments
-      in
-      let summaries = ref [] in
-      let pairs = collect_pairs db env config tbl where summaries in
-      let updated =
-        List.fold_left
-          (fun acc (rid, row) ->
-            let fresh = Array.copy row in
-            List.iter (fun (i, v) -> fresh.(i) <- v) resolved;
-            if Table.update tbl rid fresh then acc + 1 else acc)
-          0 pairs
-      in
-      {
-        columns = [];
-        rows = [];
-        summaries = !summaries;
-        message = Some (Printf.sprintf "%d row(s) updated in %s" updated table);
-      }
-  | stmt ->
-      (* [execute] routes only Delete/Update here; a future statement
-         kind reaching this point is a dispatch bug, reported as a
-         structured error rather than a crash. *)
-      fail "internal: execute_dml cannot handle %s"
-        (match stmt with
-        | Ast.Select _ -> "SELECT"
-        | Ast.Explain _ -> "EXPLAIN"
-        | Ast.Create_table _ -> "CREATE TABLE"
-        | Ast.Create_index _ -> "CREATE INDEX"
-        | Ast.Insert _ -> "INSERT"
-        | Ast.Check_table _ -> "CHECK TABLE"
-        | Ast.Repair_table _ -> "REPAIR"
-        | Ast.Delete _ | Ast.Update _ -> "DML (unreachable)")
-
 let header_of db sel =
   match sel.Ast.projection with
   | Ast.Aggs aggs -> List.map snd aggs
   | Ast.Cols cs -> cs
   | Ast.Star -> (
+      let cols name prefix =
+        let schema = Table.schema (find_table db name) in
+        List.map (fun c -> prefix ^ c.Schema.name) (Schema.columns schema)
+      in
       match sel.Ast.joined with
-      | None -> projection_columns db sel
-      | Some b_name ->
-          let cols t prefix =
-            List.map (fun c -> prefix ^ "." ^ c.Schema.name)
-              (Schema.columns (Table.schema t))
-          in
-          cols (Database.table db sel.Ast.table) sel.Ast.table
-          @ cols (Database.table db b_name) b_name)
+      | None -> cols sel.Ast.table ""
+      | Some b -> cols sel.Ast.table (sel.Ast.table ^ ".") @ cols b (b ^ "."))
 
 (* EXPLAIN ANALYZE annotations: the plan already ran (the dynamic
    optimizer *is* execution), so pair every estimate in the trace with
@@ -688,27 +560,54 @@ let execute ?(env = []) ?config db stmt =
       let _ = Database.create_table db ~name schema in
       { columns = []; rows = []; summaries = []; message = Some ("table " ^ name ^ " created") }
   | Ast.Create_index { index; on_table; columns } ->
-      let table =
-        match Database.find_table db on_table with
-        | Some t -> t
-        | None -> fail "no such table: %s" on_table
-      in
+      let table = find_table db on_table in
       let _ = Table.create_index table ~name:index ~columns () in
       { columns = []; rows = []; summaries = []; message = Some ("index " ^ index ^ " created") }
-  | (Ast.Delete _ | Ast.Update _) as dml -> execute_dml ?env:(Some env) ?config db dml
+  | Ast.Delete { from; where } ->
+      let tbl = find_table db from in
+      let summaries = ref [] in
+      let pairs = collect_pairs db env config tbl where summaries in
+      let deleted =
+        List.fold_left
+          (fun acc (rid, _) -> if Table.delete tbl rid then acc + 1 else acc)
+          0 pairs
+      in
+      {
+        columns = [];
+        rows = [];
+        summaries = !summaries;
+        message = Some (Printf.sprintf "%d row(s) deleted from %s" deleted from);
+      }
+  | Ast.Update { table; assignments; where } ->
+      let tbl = find_table db table in
+      let schema = Table.schema tbl in
+      let resolved =
+        List.map
+          (fun (col, o) ->
+            match Schema.find schema col with
+            | Some i -> (i, resolve env o)
+            | None -> fail "unknown column %s" col)
+          assignments
+      in
+      let summaries = ref [] in
+      let pairs = collect_pairs db env config tbl where summaries in
+      let updated =
+        List.fold_left
+          (fun acc (rid, row) ->
+            let fresh = Array.copy row in
+            List.iter (fun (i, v) -> fresh.(i) <- v) resolved;
+            if Table.update tbl rid fresh then acc + 1 else acc)
+          0 pairs
+      in
+      {
+        columns = [];
+        rows = [];
+        summaries = !summaries;
+        message = Some (Printf.sprintf "%d row(s) updated in %s" updated table);
+      }
   | Ast.Insert { into; rows } ->
-      let table =
-        match Database.find_table db into with
-        | Some t -> t
-        | None -> fail "no such table: %s" into
-      in
-      let resolve = function
-        | Ast.Lit v -> v
-        | Ast.Host h -> (
-            match List.assoc_opt h env with
-            | Some v -> v
-            | None -> fail "unbound host variable :%s" h)
-      in
+      let table = find_table db into in
+      let resolve = resolve env in
       List.iter
         (fun row -> ignore (Table.insert table (Array.of_list (List.map resolve row))))
         rows;
@@ -719,11 +618,7 @@ let execute ?(env = []) ?config db stmt =
         message = Some (Printf.sprintf "%d row(s) inserted into %s" (List.length rows) into);
       }
   | Ast.Check_table name ->
-      let table =
-        match Database.find_table db name with
-        | Some t -> t
-        | None -> fail "no such table: %s" name
-      in
+      let table = find_table db name in
       let rep =
         try Check.run table
         with Rdb_storage.Fault.Injected f ->
@@ -756,11 +651,7 @@ let execute ?(env = []) ?config db stmt =
                rep.Check.cost);
       }
   | Ast.Repair_table { table = tname; index } ->
-      let table =
-        match Database.find_table db tname with
-        | Some t -> t
-        | None -> fail "no such table: %s" tname
-      in
+      let table = find_table db tname in
       (* Heal corrupt heap pages first: the heap is the ground truth
          every index rebuild copies from, and an unreadable page would
          otherwise abort the consistency check below.  Persistent heap
@@ -854,5 +745,3 @@ let execute ?(env = []) ?config db stmt =
       end
 
 let execute_sql ?env ?config db src = execute ?env ?config db (Parser.parse_statement src)
-
-let goal_context_of_select = goal_context_of_select

@@ -77,9 +77,6 @@ val classify : t -> file:int -> Fault.file_class -> unit
 (** Record a file's class (heap / index / spill) so the fault injector
     can scope faults.  Backing stores call this at creation. *)
 
-val file_class : t -> int -> Fault.file_class
-(** [Other] if never classified. *)
-
 val set_injector : t -> Fault.t option -> unit
 (** Attach (or detach) a fault injector.  With [None] — the default —
     every access behaves and costs exactly as an injector-free pool.

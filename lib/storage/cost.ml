@@ -44,12 +44,6 @@ let snapshot t = { physical = t.physical; logical = t.logical; writes = t.writes
 
 let since now before = total now -. total before
 
-let reset t =
-  t.physical <- 0;
-  t.logical <- 0;
-  t.writes <- 0;
-  t.cpu <- 0
-
 let pp fmt t =
   Format.fprintf fmt "phys=%d log=%d wr=%d cpu=%d cost=%.2f" t.physical t.logical t.writes
     t.cpu (total t)

@@ -47,6 +47,4 @@ val since : t -> t -> float
 (** [since now before] is [total now -. total before]: cost spent
     between two snapshots. *)
 
-val reset : t -> unit
-
 val pp : Format.formatter -> t -> unit

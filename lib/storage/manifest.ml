@@ -25,8 +25,6 @@ let create () =
     next_rebuild = 0;
   }
 
-let epoch t = t.epoch
-
 let begin_epoch t =
   t.epoch <- t.epoch + 1;
   t.epoch

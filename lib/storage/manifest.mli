@@ -44,8 +44,6 @@ type t
 val create : unit -> t
 (** Empty manifest, epoch 0. *)
 
-val epoch : t -> int
-
 val begin_epoch : t -> int
 (** Bump and return the epoch counter — recovery stamps each restart. *)
 
@@ -74,9 +72,6 @@ val abort_rebuild : t -> int -> unit
 val orphans : t -> rebuild list
 (** Rebuild records still [Building] — after a crash, exactly the
     rebuilds that died mid-copy — in [rb_id] order. *)
-
-val rebuilds : t -> rebuild list
-(** Every rebuild record, in [rb_id] order. *)
 
 (** {1 Quarantine verdicts} *)
 

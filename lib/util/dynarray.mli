@@ -22,7 +22,6 @@ val truncate : 'a t -> int -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t

@@ -12,10 +12,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** [copy g] is an independent generator positioned at [g]'s current
-    state. *)
-
 val split : t -> t
 (** [split g] advances [g] and returns a new generator whose stream is
     statistically independent of [g]'s subsequent output. *)

@@ -155,9 +155,17 @@ let test_lifecycle () =
   Alcotest.check_raises "second run rejected"
     (Invalid_argument "Session.run: scheduler already ran") (fun () ->
       ignore (S.run sched));
-  Alcotest.check_raises "bad config rejected"
-    (Invalid_argument "Session.create: max_inflight < 1") (fun () ->
-      ignore (S.create ~config:{ S.default_config with S.max_inflight = 0 } db))
+  List.iter
+    (fun (config, msg) ->
+      Alcotest.check_raises "bad config rejected" (Invalid_argument msg) (fun () ->
+          ignore (S.create ~config db)))
+    [
+      ({ S.default_config with S.max_inflight = 0 }, "Session.create: max_inflight < 1");
+      ( { S.default_config with S.quantum = Float.nan },
+        "Session.create: quantum nan is not > 0" );
+      ( { S.default_config with S.crash_points = [ S.Crash_at_cost Float.nan ] },
+        "Session.create: crash point Crash_at_cost nan" );
+    ]
 
 let product_one = R.request Predicate.("PRODUCT" =% Value.int 1)
 
@@ -239,6 +247,38 @@ let test_quota_admission_order () =
 
 let row_list rows = List.map Row.to_string rows
 
+(* The event stream agrees with the ledger: at most one [Finished] per
+   id, carrying the session's outcome; none for a lost session, which
+   the crash's [Crashed] counts instead; and the pool counters equal a
+   recount over the sessions.  For query-only runs (a repair has no
+   [s_outcome] to recount). *)
+let ledger_agrees (r : S.report) =
+  let finished =
+    List.filter_map
+      (function S.Finished { id; outcome; _ } -> Some (id, outcome) | _ -> None)
+      r.S.events
+  in
+  let crash_lost =
+    List.fold_left
+      (fun acc -> function S.Crashed { lost; _ } -> acc + lost | _ -> acc)
+      0 r.S.events
+  in
+  let ids = List.map fst finished in
+  let p = r.S.pool in
+  let count pred = List.length (List.filter (fun s -> pred s.S.s_outcome) r.S.sessions) in
+  List.length (List.sort_uniq compare ids) = List.length ids
+  && List.length finished + crash_lost = p.S.p_submitted
+  && List.for_all
+       (fun s ->
+         match (s.S.s_outcome, List.assoc_opt s.S.s_id finished) with
+         | S.Lost _, found -> found = None
+         | o, found -> found = Some o)
+       r.S.sessions
+  && p.S.p_served = count (( = ) S.Served)
+  && p.S.p_shed = count (function S.Shed _ -> true | _ -> false)
+  && p.S.p_timed_out = count (function S.Timed_out _ -> true | _ -> false)
+  && p.S.p_lost = count (function S.Lost _ -> true | _ -> false)
+
 let submit_arrival sched table (a : Traffic.arrival) =
   let sp = a.Traffic.spec in
   S.submit sched ~label:sp.Traffic.label ?limit:sp.Traffic.limit
@@ -266,7 +306,7 @@ let prop_shed_isolation =
       let db, table = Lazy.force fixture in
       let arrivals = Traffic.storm ~seed ~count:16 () in
       Rdb_storage.Buffer_pool.flush (Database.pool db);
-      let storm = S.create ~config:overload_cfg db in
+      let storm = S.create ~config:{ overload_cfg with S.record_events = true } db in
       let ids = List.map (submit_arrival storm table) arrivals in
       let report = S.run storm in
       let survivors =
@@ -288,7 +328,8 @@ let prop_shed_isolation =
           survivors
       in
       let _ = S.run calm in
-      List.for_all2
+      ledger_agrees report
+      && List.for_all2
         (fun (_, storm_id) calm_id ->
           row_list (S.rows_of storm storm_id) = row_list (S.rows_of calm calm_id))
         survivors calm_ids)
@@ -364,8 +405,11 @@ let test_deadline_on_quantum_step () =
     (st.S.s_outcome = S.Timed_out { deadline = s2; spent = s2 });
   check "no extra quantum" true (st.S.s_quanta = 2 && report.S.pool.S.p_grants = 2);
   check "timed out in the same grant" true
-    (List.mem
-       (S.Timed_out_event { id; tick = 2; spent = s2; deadline = s2 })
+    (List.exists
+       (function
+         | S.Finished { id = i; tick; outcome = S.Timed_out { spent; deadline }; _ } ->
+             i = id && tick = 2 && spent = s2 && deadline = s2
+         | _ -> false)
        report.S.events);
   check "deadline traced once" true
     (match st.S.s_summary with
@@ -530,7 +574,7 @@ let prop_shard_count_invariance =
       let pool = Database.pool db in
       let run n =
         Rdb_storage.Buffer_pool.flush pool;
-        let cfg = { overload_cfg with S.pool_shards = Some n } in
+        let cfg = { overload_cfg with S.pool_shards = Some n; record_events = true } in
         let sched = S.create ~config:cfg db in
         let arrivals = Traffic.storm ~seed ~count:20 () in
         let ids = List.map (submit_arrival sched table) arrivals in
@@ -552,7 +596,7 @@ let prop_shard_count_invariance =
         r.S.pool.S.p_served + r.S.pool.S.p_shed + r.S.pool.S.p_timed_out
         = r.S.pool.S.p_submitted
       in
-      exact rep_1 && exact rep_n
+      exact rep_1 && exact rep_n && ledger_agrees rep_1 && ledger_agrees rep_n
       && rep_1.S.pool.S.p_shards = 1
       && rep_n.S.pool.S.p_shards = shards
       && List.for_all2
@@ -729,6 +773,7 @@ let prop_crash_accounting =
           S.default_config with
           S.max_inflight = 3;
           quantum = 2.0;
+          record_events = true;
           S.crash_points = [ S.Crash_at_grant g ];
         }
       in
@@ -744,7 +789,8 @@ let prop_crash_accounting =
       p.S.p_served + p.S.p_shed + p.S.p_timed_out + p.S.p_lost = p.S.p_submitted
       && (match p.S.p_crash_tick with
          | Some t -> t >= g
-         | None -> p.S.p_lost = 0))
+         | None -> p.S.p_lost = 0)
+      && ledger_agrees rep)
 
 let () =
   Alcotest.run "rdb_session"

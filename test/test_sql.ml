@@ -305,6 +305,35 @@ let test_exec_order_limit_distinct () =
   let limited = rows_of db "SELECT DISTINCT A FROM T WHERE A < 10 ORDER BY A LIMIT 3" in
   check_int "limit applies after distinct" 3 (List.length limited)
 
+(* DISTINCT keeps the first of each duplicate in delivered order, so an
+   ORDER BY survives it and a LIMIT after it keeps the leading rows —
+   on a single table and on a join.  B orders T: (3,1) (1,2) (2,3)
+   (1,4) (3,5). *)
+let test_exec_distinct_keeps_order () =
+  let db = Rdb_engine.Database.create ~pool_capacity:64 () in
+  List.iter
+    (fun sql -> ignore (Executor.execute_sql db sql))
+    [
+      "CREATE TABLE T (A INT, B INT)";
+      "CREATE INDEX T_B ON T (B)";
+      "INSERT INTO T VALUES (3, 1), (1, 2), (2, 3), (1, 4), (3, 5)";
+      "CREATE TABLE U (B INT, C INT)";
+      "INSERT INTO U VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)";
+    ];
+  let ints rows = List.map (List.map (function Value.Int n -> n | _ -> -1)) rows in
+  let expect name sql want = check name true (ints (rows_of db sql) = want) in
+  expect "single table" "SELECT DISTINCT A, B FROM T ORDER BY B"
+    [ [ 3; 1 ]; [ 1; 2 ]; [ 2; 3 ]; [ 1; 4 ]; [ 3; 5 ] ];
+  expect "single table, LIMIT" "SELECT DISTINCT A, B FROM T ORDER BY B LIMIT 2"
+    [ [ 3; 1 ]; [ 1; 2 ] ];
+  expect "single table, duplicates" "SELECT DISTINCT A FROM T ORDER BY B"
+    [ [ 3 ]; [ 1 ]; [ 2 ] ];
+  expect "join" "SELECT DISTINCT T.A FROM T, U WHERE T.B = U.B ORDER BY U.C"
+    [ [ 3 ]; [ 1 ]; [ 2 ] ];
+  expect "join, LIMIT"
+    "SELECT DISTINCT T.A, U.C FROM T, U WHERE T.B = U.B ORDER BY U.C LIMIT 2"
+    [ [ 3; 10 ]; [ 1; 20 ] ]
+
 let test_exec_aggregates () =
   let db = mkdb () in
   match rows_of db "SELECT COUNT(*), MIN(A), MAX(A), AVG(A) FROM T WHERE A < 5" with
@@ -635,6 +664,8 @@ let () =
           Alcotest.test_case "select/where" `Quick test_exec_select_where;
           Alcotest.test_case "NULL semantics" `Quick test_exec_null_semantics;
           Alcotest.test_case "order/limit/distinct" `Quick test_exec_order_limit_distinct;
+          Alcotest.test_case "DISTINCT keeps the ORDER BY" `Quick
+            test_exec_distinct_keeps_order;
           Alcotest.test_case "aggregates" `Quick test_exec_aggregates;
           Alcotest.test_case "host variables" `Quick test_exec_host_variables;
           Alcotest.test_case "IN subquery" `Quick test_exec_in_subquery;
