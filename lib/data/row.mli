@@ -1,40 +1,17 @@
-(** Rows and their stored encoding.
+(** Rows.
 
-    A row is a [Value.t array] matching a schema.  The binary codec is
-    a small tagged format used by the heap file so that page capacity
-    tracks realistic record sizes. *)
+    A row is a [Value.t array] matching a schema.  Rows are values:
+    a row handed out by the heap ({!Rdb_storage.Heap_file.fetch}, its
+    scan cursor and [iter]), by a scan, by a retrieval or by
+    [Session.rows_of] is the table's one stored copy, shared by every
+    reader, and must never be mutated.  The heap copies a row once when
+    it is inserted or updated, so the caller's array stays the
+    caller's.  Code that needs a changed row builds a fresh array (the
+    SQL executor's UPDATE copies first). *)
 
 type t = Value.t array
 
 val get : t -> int -> Value.t
-
-val encode : t -> Bytes.t
-val decode : Bytes.t -> t
-(** [decode (encode r) = r].  Raises [Failure] on corrupt input. *)
-
-(** {1 Reading the encoding in place}
-
-    A compiled restriction ({!Rdb_engine.Predicate.compile}) tests a
-    heap slot's bytes before anything is decoded; these readers let it
-    look at one field without building the row.  Each reader agrees
-    with {!decode} on every field it reads and, like [decode], raises
-    [Failure] on truncated input or a bad tag. *)
-
-val field_offset : Bytes.t -> int -> int
-(** [field_offset bytes i] is where field [i] starts (its tag byte).
-    Walks the fields before it.  Raises [Invalid_argument] when [i] is
-    outside the encoded arity. *)
-
-val field_is_null : Bytes.t -> int -> bool
-(** Whether the field starting at the given offset is NULL. *)
-
-val compare_field : Bytes.t -> int -> Value.t -> int
-(** [compare_field bytes off v] equals
-    [Value.compare (field_value bytes off) v] — [Float.compare] for
-    Int/Float mixes, strings by bytes — without allocating. *)
-
-val field_value : Bytes.t -> int -> Value.t
-(** The field starting at the given offset, decoded. *)
 
 val project : t -> int array -> t
 (** [project row cols] extracts the given column positions. *)

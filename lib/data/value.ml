@@ -30,12 +30,6 @@ let to_string = function
   | Float f -> Printf.sprintf "%g" f
   | Str s -> s
 
-let size_bytes = function
-  | Null -> 1
-  | Int _ -> 8
-  | Float _ -> 8
-  | Str s -> 4 + String.length s
-
 let int i = Int i
 let float f = Float f
 let str s = Str s

@@ -28,9 +28,6 @@ val is_null : t -> bool
 
 val to_string : t -> string
 
-val size_bytes : t -> int
-(** Approximate stored size, used for page-capacity accounting. *)
-
 (** {1 Convenience constructors} *)
 
 val int : int -> t

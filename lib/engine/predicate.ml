@@ -95,21 +95,19 @@ let const_of = function
   | Const v -> v
   | Param p -> raise (Unbound_param p)
 
+let holds op c =
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
 let cmp_tri op (a : Value.t) (b : Value.t) =
   if Value.is_null a || Value.is_null b then U
-  else begin
-    let c = Value.compare a b in
-    let holds =
-      match op with
-      | Eq -> c = 0
-      | Ne -> c <> 0
-      | Lt -> c < 0
-      | Le -> c <= 0
-      | Gt -> c > 0
-      | Ge -> c >= 0
-    in
-    if holds then T else F
-  end
+  else if holds op (Value.compare a b) then T
+  else F
 
 (* SQL LIKE with % (any run) and _ (any single char). *)
 let like_match pattern s =
@@ -168,12 +166,11 @@ let eval_maybe t schema row = eval_tri t schema row <> F
 
 (* --- compiled restrictions ---------------------------------------------
    [compile] resolves every column to its position and every operand to
-   its constant once; the tree it builds is evaluated by one
-   three-valued core, [tri_of], over any of three layouts.  A layout
-   says only how a leaf reads its field: [locate] turns a position into
-   a field handle (the position itself, or an offset into an encoding),
-   and the other three read through the handle.  [compare] is asked
-   only about a non-NULL field and a non-NULL constant. *)
+   its constant once; [tri_of] evaluates the tree it builds directly over
+   a value array.  The one read is bounds-checked: a position outside
+   the array reads as NULL.  Only a key-compiled tree holds one (-1, a
+   column outside the key), and NULL is what [Scan.synthetic_row] puts
+   there; a row-compiled tree's positions are all inside the row. *)
 
 type node =
   | C_const of tri  (** [True], [False], and comparisons with a NULL constant *)
@@ -224,8 +221,7 @@ let position schema c =
 
 let compile t schema = compile_with (position schema) t
 
-(* A column outside the key resolves to -1, which the key layout reads
-   as NULL — what [Scan.synthetic_row] puts there. *)
+(* A column outside the key resolves to -1, which reads as NULL. *)
 let compile_key t schema ~key_ids =
   compile_with
     (fun c ->
@@ -235,102 +231,47 @@ let compile_key t schema ~key_ids =
       !at)
     t
 
-type 'a layout = {
-  locate : 'a -> int -> int;
-  is_null : 'a -> int -> bool;
-  compare : 'a -> int -> Value.t -> int;
-  get : 'a -> int -> Value.t;
-}
+let field (src : Value.t array) pos =
+  if pos < 0 || pos >= Array.length src then Value.Null else Array.unsafe_get src pos
 
-let holds op c =
-  match op with
-  | Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
-
-(* [cmp_tri] against a constant, read through the layout. *)
-let leaf_cmp l src h op v =
-  match v with
-  | Value.Null -> U
-  | _ -> if holds op (l.compare src h v) then T else F
-
-let rec tri_of l src = function
+let rec tri_of src = function
   | C_const t -> t
-  | C_cmp (pos, op, v) ->
-      let h = l.locate src pos in
-      if l.is_null src h then U else leaf_cmp l src h op v
-  | C_cmp_col (a, op, b) ->
-      cmp_tri op (l.get src (l.locate src a)) (l.get src (l.locate src b))
+  | C_cmp (pos, op, v) -> cmp_tri op (field src pos) v
+  | C_cmp_col (a, op, b) -> cmp_tri op (field src a) (field src b)
   | C_between (pos, lo, hi) ->
-      let h = l.locate src pos in
-      if l.is_null src h then U
-      else tri_and (leaf_cmp l src h Ge lo) (leaf_cmp l src h Le hi)
-  | C_in (pos, vs) ->
-      let h = l.locate src pos in
-      if l.is_null src h then if Array.length vs = 0 then F else U
-      else in_from l src h vs 0 F
-  | C_is_null pos -> if l.is_null src (l.locate src pos) then T else F
-  | C_is_not_null pos -> if l.is_null src (l.locate src pos) then F else T
+      let v = field src pos in
+      tri_and (cmp_tri Ge v lo) (cmp_tri Le v hi)
+  | C_in (pos, vs) -> in_from (field src pos) vs 0 F
+  | C_is_null pos -> if Value.is_null (field src pos) then T else F
+  | C_is_not_null pos -> if Value.is_null (field src pos) then F else T
   | C_like (pos, pattern) -> (
-      match l.get src (l.locate src pos) with
+      match field src pos with
       | Value.Null -> U
       | Value.Str s -> if like_match pattern s then T else F
       | v -> if like_match pattern (Value.to_string v) then T else F)
-  | C_and ts -> and_from l src ts 0 T
-  | C_or ts -> or_from l src ts 0 F
-  | C_not x -> tri_not (tri_of l src x)
+  | C_and ts -> and_from src ts 0 T
+  | C_or ts -> or_from src ts 0 F
+  | C_not x -> tri_not (tri_of src x)
 
-(* The folds of [eval_tri], stopping once the result is settled: on a
-   well-formed row, encoding or key a leaf has no effect besides its
-   value, so skipping the rest changes nothing. *)
-and and_from l src ts i acc =
+(* The folds of [eval_tri], stopping once the result is settled: a leaf
+   has no effect besides its value, so skipping the rest changes
+   nothing. *)
+and and_from src ts i acc =
   if i >= Array.length ts || acc = F then acc
-  else and_from l src ts (i + 1) (tri_and acc (tri_of l src ts.(i)))
+  else and_from src ts (i + 1) (tri_and acc (tri_of src ts.(i)))
 
-and or_from l src ts i acc =
+and or_from src ts i acc =
   if i >= Array.length ts || acc = T then acc
-  else or_from l src ts (i + 1) (tri_or acc (tri_of l src ts.(i)))
+  else or_from src ts (i + 1) (tri_or acc (tri_of src ts.(i)))
 
-and in_from l src h vs i acc =
+and in_from v vs i acc =
   if i >= Array.length vs || acc = T then acc
-  else in_from l src h vs (i + 1) (tri_or acc (leaf_cmp l src h Eq vs.(i)))
+  else in_from v vs (i + 1) (tri_or acc (cmp_tri Eq v vs.(i)))
 
-let row_layout : Row.t layout =
-  {
-    locate = (fun _ pos -> pos);
-    is_null = (fun row pos -> Value.is_null (Row.get row pos));
-    compare = (fun row pos v -> Value.compare (Row.get row pos) v);
-    get = Row.get;
-  }
-
-let encoded_layout : Bytes.t layout =
-  {
-    locate = Row.field_offset;
-    is_null = Row.field_is_null;
-    compare = Row.compare_field;
-    get = Row.field_value;
-  }
-
-let key_get (key : Value.t array) pos =
-  if pos < 0 || pos >= Array.length key then Value.Null else key.(pos)
-
-let key_layout : Value.t array layout =
-  {
-    locate = (fun _ pos -> pos);
-    is_null = (fun key pos -> Value.is_null (key_get key pos));
-    compare = (fun key pos v -> Value.compare (key_get key pos) v);
-    get = key_get;
-  }
-
-let test c row = tri_of row_layout row c = T
-let test_maybe c row = tri_of row_layout row c <> F
-let test_encoded c bytes = tri_of encoded_layout bytes c = T
-let test_encoded_maybe c bytes = tri_of encoded_layout bytes c <> F
-let test_key c key = tri_of key_layout key c = T
-let test_key_maybe c key = tri_of key_layout key c <> F
+let test c row = tri_of row c = T
+let test_maybe c row = tri_of row c <> F
+let test_key c key = tri_of key c = T
+let test_key_maybe c key = tri_of key c <> F
 
 let rec simplify t =
   match t with

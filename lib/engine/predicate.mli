@@ -68,21 +68,23 @@ val eval_maybe : t -> Schema.t -> Row.t -> bool
 
     A restriction with its columns resolved to positions and its
     operands to constants, once, for a cursor that tests it on every
-    row.  One three-valued core evaluates it over three layouts that
-    differ only in how a leaf reads its field:
-    - a decoded row ({!test});
-    - a heap slot's encoding, read in place through {!Row.field_offset}
-      and {!Row.compare_field} ({!test_encoded}): a scan decodes only
-      the records that match;
-    - an index key ({!test_key}), where a column outside the key reads
-      as NULL, exactly as on {!Rdb_exec.Scan.synthetic_row}.
+    row.  One three-valued evaluator walks the compiled tree directly
+    over a value array, reading each field with one bounds-checked
+    read: a position outside the array reads as NULL.  The two
+    compiled types differ only in what their positions index:
+    - a {!compiled} restriction indexes a row of the schema ({!test}) —
+      a heap's stored row is tested where it lies;
+    - a {!compiled_key} restriction indexes an index key
+      ({!test_key}), and a column outside the key reads as NULL,
+      exactly as on {!Rdb_exec.Scan.synthetic_row}.
+    They are distinct types, so a key-compiled restriction cannot be
+    tested on a row, nor a row-compiled one on a key.
 
-    On every layout the result equals {!eval} (the [_maybe] forms equal
-    {!eval_maybe}) on the corresponding row: NULL gives Unknown, Int
-    and Float compare through {!Value.compare}, and LIKE, IN, BETWEEN
-    with NULL bounds and column-to-column comparisons keep their
-    semantics (pinned against the interpreter by a qcheck property in
-    [test_engine.ml]). *)
+    The result equals {!eval} (the [_maybe] forms equal {!eval_maybe})
+    on the corresponding row: NULL gives Unknown, Int and Float compare
+    through {!Value.compare}, and LIKE, IN, BETWEEN with NULL bounds and
+    column-to-column comparisons keep their semantics (pinned against
+    the interpreter by a qcheck property in [test_engine.ml]). *)
 
 type compiled
 
@@ -93,13 +95,6 @@ val compile : t -> Schema.t -> compiled
 
 val test : compiled -> Row.t -> bool
 val test_maybe : compiled -> Row.t -> bool
-
-val test_encoded : compiled -> Bytes.t -> bool
-(** On {!Row.encode}'s output.  Reads only the fields the restriction
-    needs; raises [Failure] where a read meets truncated or bad-tag
-    input. *)
-
-val test_encoded_maybe : compiled -> Bytes.t -> bool
 
 type compiled_key
 

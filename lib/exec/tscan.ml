@@ -1,4 +1,3 @@
-open Rdb_data
 open Rdb_engine
 open Rdb_storage
 
@@ -34,11 +33,9 @@ let step t =
     | true ->
         t.examined <- t.examined + 1;
         Cost.charge_cpu t.meter 1;
-        (* Test the stored encoding; decode only a record that
-           qualifies.  Examining charges the same either way. *)
-        let bytes = Heap_file.encoding t.cursor in
-        if Predicate.test_encoded t.restriction bytes then
-          Scan.Deliver (Heap_file.rid t.cursor, Row.decode bytes)
+        (* Test the stored row where it lies and deliver it as is. *)
+        let row = Heap_file.current t.cursor in
+        if Predicate.test t.restriction row then Scan.Deliver (Heap_file.rid t.cursor, row)
         else Scan.Continue
   end
 

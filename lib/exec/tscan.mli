@@ -1,10 +1,11 @@
 (** Tscan — full sequential table scan (§4).
 
     The classical fallback: reads every data page once, tests the full
-    restriction on every record, delivers immediately.  The test reads
-    the record's stored encoding in place ({!Predicate.test_encoded});
-    only a qualifying record is decoded, and an examined record is
-    charged the same whether or not it is.  Its cost
+    restriction on every record, delivers immediately.  The compiled
+    restriction ({!Predicate.test}) tests the heap's stored row where
+    it lies, and a qualifying record is delivered as that same shared
+    row; an examined record is charged the same whether or not it
+    qualifies.  Its cost
     is flat and certain, which is exactly why it serves as the initial
     "guaranteed best" in Jscan's competition. *)
 

@@ -129,29 +129,29 @@ let projection_columns schema (sel : Ast.select) =
   | Ast.Cols cs -> cs
   | Ast.Aggs aggs -> List.sort_uniq compare (List.concat_map (fun (a, _) -> agg_columns a) aggs)
 
-(* The node immediately controlling this select's retrieval (§4). *)
+(* The node immediately controlling this select's retrieval (§4).
+   DISTINCT and aggregates sit between the retrieval and any LIMIT —
+   they need every qualifying row first — so they decide before it. *)
 let goal_context_of_select db (sel : Ast.select) ~outer =
-  match sel.Ast.limit with
-  | Some n -> Some (Goal.Limit n)
-  | None ->
-      if sel.Ast.distinct then Some Goal.Sort
-      else begin
-        match sel.Ast.projection with
-        | Ast.Aggs _ -> Some Goal.Aggregate
-        | Ast.Star | Ast.Cols _ ->
-            if sel.Ast.order_by <> [] then begin
-              (* A SORT node exists only if no index delivers the
-                 order. *)
-              let table = find_table db sel.Ast.table in
-              let provided =
-                List.exists
-                  (fun idx -> Table.index_provides_order idx ~order:sel.Ast.order_by)
-                  (Table.indexes table)
-              in
-              if provided then outer else Some Goal.Sort
-            end
-            else outer
-      end
+  if sel.Ast.distinct then Some Goal.Sort
+  else begin
+    match (sel.Ast.projection, sel.Ast.limit) with
+    | Ast.Aggs _, _ -> Some Goal.Aggregate
+    | (Ast.Star | Ast.Cols _), Some n -> Some (Goal.Limit n)
+    | (Ast.Star | Ast.Cols _), None ->
+        if sel.Ast.order_by <> [] then begin
+          (* A SORT node exists only if no index delivers the
+             order. *)
+          let table = find_table db sel.Ast.table in
+          let provided =
+            List.exists
+              (fun idx -> Table.index_provides_order idx ~order:sel.Ast.order_by)
+              (Table.indexes table)
+          in
+          if provided then outer else Some Goal.Sort
+        end
+        else outer
+  end
 
 (* Resolve subqueries innermost-first, turning the condition into an
    engine predicate.  Summaries accumulate in execution order. *)
@@ -325,12 +325,13 @@ and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
           (Predicate.And (List.rev_map (rename_predicate (strip b_name)) !inner))
       in
       let post_pred = Predicate.simplify (Predicate.And (List.rev !post)) in
-      (* Outer retrieval: one dynamic run. *)
-      let outer_rows, outer_summary =
-        Retrieval.run ?config ta (Retrieval.request ~env outer_pred)
+      (* Outer retrieval: one dynamic run, driven as a cursor. *)
+      let outer = Retrieval.open_ ?config ta (Retrieval.request ~env outer_pred) in
+      let close_outer () =
+        let s = Retrieval.close outer in
+        summaries := !summaries @ [ (a_name, s) ];
+        check_status s
       in
-      summaries := !summaries @ [ (a_name, outer_summary) ];
-      check_status outer_summary;
       (* Inner probes: one parameterized retrieval per distinct join
          value, memoized. *)
       let probe_cost = ref 0.0 and probe_rows = ref 0 in
@@ -362,22 +363,59 @@ and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
             Hashtbl.replace cache v rows;
             rows
       in
-      let combined = ref [] in
+      (* Combined rows pass the post-filter on the combined schema as
+         they are built.  With no ORDER BY, DISTINCT or aggregate the
+         select keeps the first [n] of a LIMIT, so the join probes as it
+         fetches and stops both once they are in; otherwise every outer
+         row is retrieved before the first probe. *)
+      let wanted =
+        match sel.Ast.projection with
+        | Ast.Star | Ast.Cols _ when sel.Ast.order_by = [] && not sel.Ast.distinct ->
+            merge_limits sel.Ast.limit force_limit
+        | _ -> None
+      in
+      let passes =
+        match post_pred with
+        | Predicate.True -> fun _ -> true
+        | p -> Predicate.test (Predicate.compile p schema)
+      in
+      let kept = ref [] and n_kept = ref 0 in
+      let full () = match wanted with Some n -> !n_kept >= n | None -> false in
+      let keep a_row b_row =
+        if not (full ()) then begin
+          let row = Array.append a_row b_row in
+          if passes row then begin
+            kept := row :: !kept;
+            incr n_kept
+          end
+        end
+      in
       let join_pos = Option.map (fun (a_col, _) -> Schema.index_of sa a_col) !join_cond in
-      List.iter
-        (fun (a_row : Row.t) ->
-          let join_value = Option.map (Row.get a_row) join_pos in
-          match join_value with
-          | Some Value.Null -> () (* NULL never joins *)
-          | Some v ->
-              List.iter
-                (fun b_row -> combined := Array.append a_row b_row :: !combined)
-                (probe v)
-          | None ->
-              List.iter
-                (fun b_row -> combined := Array.append a_row b_row :: !combined)
-                (probe Value.Null))
-        outer_rows;
+      let join_row (a_row : Row.t) =
+        match Option.map (Row.get a_row) join_pos with
+        | Some Value.Null -> () (* NULL never joins *)
+        | Some v -> List.iter (keep a_row) (probe v)
+        | None -> List.iter (keep a_row) (probe Value.Null)
+      in
+      (match wanted with
+      | Some _ ->
+          let rec fetch_and_join () =
+            if not (full ()) then begin
+              match Retrieval.fetch outer with
+              | Some a_row ->
+                  join_row a_row;
+                  fetch_and_join ()
+              | None -> ()
+            end
+          in
+          (* A failed probe still closes the outer cursor; [close] is
+             idempotent, so [close_outer] reads the same summary. *)
+          Fun.protect ~finally:(fun () -> ignore (Retrieval.close outer)) fetch_and_join;
+          close_outer ()
+      | None ->
+          let outer_rows = List.map snd (Retrieval.drain_pairs outer) in
+          close_outer ();
+          List.iter join_row outer_rows);
       (* Synthesize an aggregate summary for the probe side. *)
       let probe_summary =
         {
@@ -395,11 +433,7 @@ and run_join db env config summaries (sel : Ast.select) b_name ?force_limit () =
         }
       in
       summaries := !summaries @ [ (b_name, probe_summary) ];
-      (* Post-filter on the combined schema. *)
-      match post_pred with
-      | Predicate.True -> List.rev !combined
-      | p ->
-          List.filter (Predicate.test (Predicate.compile p schema)) (List.rev !combined)
+      List.rev !kept
     end
   in
   let col c = Schema.index_of schema (canon c) in

@@ -44,4 +44,5 @@ val goal_context_of_select :
   Database.t -> Ast.select -> outer:Rdb_core.Goal.controlling_node option ->
   Rdb_core.Goal.controlling_node option
 (** The §4 rule, exposed for tests: the node immediately controlling
-    the select's retrieval. *)
+    the select's retrieval.  DISTINCT (a SORT) and aggregates need
+    every qualifying row, so they control it even under a LIMIT. *)

@@ -154,7 +154,7 @@ let describe f =
     (match f.kind with Spill_full -> "write" | _ -> "read")
     (class_name f.class_) f.file f.index
 
-(* FNV-1a over machine ints / bytes; order-sensitive. *)
+(* FNV-1a over machine ints / string bytes; order-sensitive. *)
 let crc_init = 0xcbf29ce4
 let fnv_prime = 0x01000193
 
@@ -163,10 +163,10 @@ let crc_int acc v =
   let acc = (acc lxor ((v lsr 16) land 0xffffffff)) * fnv_prime in
   acc land max_int
 
-let crc_bytes acc b =
-  let acc = ref (crc_int acc (Bytes.length b)) in
-  for i = 0 to Bytes.length b - 1 do
-    acc := (!acc lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime land max_int
+let crc_bytes acc s =
+  let acc = ref (crc_int acc (String.length s)) in
+  for i = 0 to String.length s - 1 do
+    acc := (!acc lxor Char.code (String.unsafe_get s i)) * fnv_prime land max_int
   done;
   !acc
 

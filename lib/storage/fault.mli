@@ -128,6 +128,6 @@ val describe : failure -> string
 
 val crc_init : int
 val crc_int : int -> int -> int
-val crc_bytes : int -> Bytes.t -> int
+val crc_bytes : int -> string -> int
 val crc_scramble : int -> int
 (** Involutive corruption of a stored checksum. *)

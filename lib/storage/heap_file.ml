@@ -2,7 +2,7 @@ open Rdb_data
 module Dynarray = Rdb_util.Dynarray
 
 type page = {
-  slots : Bytes.t option Dynarray.t; (* None = tombstone *)
+  slots : Row.t option Dynarray.t; (* None = tombstone *)
   mutable bytes_used : int;
   (* Lazily-maintained content checksum: mutations invalidate, the
      next cold read under a fault injector recomputes (dirty page) or
@@ -42,9 +42,19 @@ let records_per_page t =
 
 let block t index : Buffer_pool.block = { file = t.file; index }
 
+(* A record's stored size: a 2-byte field count, then per field a tag
+   byte and its payload — nothing (NULL), 8 bytes (Int, Float), or a
+   4-byte length and the string's bytes.  Pages fill, and so number
+   their RIDs, by it. *)
+let field_bytes = function
+  | Value.Null -> 1
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 5 + String.length s
+
+let record_bytes row = Array.fold_left (fun acc v -> acc + field_bytes v) 2 row
+
 let insert t row =
-  let encoded = Row.encode row in
-  let size = Bytes.length encoded + 4 (* slot directory entry *) in
+  let size = record_bytes row + 4 (* slot directory entry *) in
   let page, page_no =
     match Dynarray.last t.pages with
     | Some p when p.bytes_used + size <= t.page_bytes -> (p, Dynarray.length t.pages - 1)
@@ -57,18 +67,27 @@ let insert t row =
         (p, Dynarray.length t.pages - 1)
   in
   let slot = Dynarray.length page.slots in
-  Dynarray.push page.slots (Some encoded);
+  Dynarray.push page.slots (Some (Array.copy row));
   page.bytes_used <- page.bytes_used + size;
   page.crc_valid <- false;
   t.live <- t.live + 1;
   Rid.make ~page:page_no ~slot
+
+(* The page checksum folds every live slot's field count and then its
+   fields, each as its tag then its payload (a string by its bytes); a
+   tombstone folds a 0. *)
+let crc_field acc = function
+  | Value.Null -> Fault.crc_int acc 0
+  | Value.Int i -> Fault.crc_int (Fault.crc_int acc 1) i
+  | Value.Float f -> Fault.crc_int (Fault.crc_int acc 2) (Int64.to_int (Int64.bits_of_float f))
+  | Value.Str s -> Fault.crc_bytes (Fault.crc_int acc 3) s
 
 let page_crc page =
   Dynarray.fold_left
     (fun acc slot ->
       match slot with
       | None -> Fault.crc_int acc 0
-      | Some bytes -> Fault.crc_bytes acc bytes)
+      | Some row -> Array.fold_left crc_field (Fault.crc_int acc (Array.length row)) row)
     Fault.crc_init page.slots
 
 (* Checksum discipline on a cold read: a dirty page (mutated since the
@@ -104,20 +123,20 @@ let get_page t meter page_no =
     Some page
   end
 
-let decode_slot page meter (rid : Rid.t) =
+let read_slot page meter (rid : Rid.t) =
   if rid.slot < 0 || rid.slot >= Dynarray.length page.slots then None
   else begin
     match Dynarray.get page.slots rid.slot with
     | None -> None
-    | Some bytes ->
+    | Some _ as row ->
         Cost.charge_cpu meter 1;
-        Some (Row.decode bytes)
+        row
   end
 
 let fetch t meter (rid : Rid.t) =
   match get_page t meter rid.page with
   | None -> None
-  | Some page -> decode_slot page meter rid
+  | Some page -> read_slot page meter rid
 
 (* --- cached fetch -----------------------------------------------------
    Per-RID fetchers (Fscan record fetches, the final stage) often hit
@@ -158,14 +177,14 @@ let fetch_via t meter cache (rid : Rid.t) =
     | _ -> None
   in
   match cached with
-  | Some page -> decode_slot page meter rid
+  | Some page -> read_slot page meter rid
   | None -> (
       cache.entry <- None;
       match get_page_h t meter rid.page with
       | None -> None
       | Some (page, h) ->
           cache.entry <- Some (rid.page, page, h);
-          decode_slot page meter rid)
+          read_slot page meter rid)
 
 let delete t meter (rid : Rid.t) =
   match get_page t meter rid.page with
@@ -175,9 +194,9 @@ let delete t meter (rid : Rid.t) =
       else begin
         match Dynarray.get page.slots rid.slot with
         | None -> false
-        | Some bytes ->
+        | Some row ->
             Dynarray.set page.slots rid.slot None;
-            page.bytes_used <- page.bytes_used - (Bytes.length bytes + 4);
+            page.bytes_used <- page.bytes_used - (record_bytes row + 4);
             page.crc_valid <- false;
             t.live <- t.live - 1;
             Buffer_pool.write t.pool meter (block t rid.page);
@@ -193,9 +212,8 @@ let update t meter (rid : Rid.t) row =
         match Dynarray.get page.slots rid.slot with
         | None -> false
         | Some old ->
-            let encoded = Row.encode row in
-            Dynarray.set page.slots rid.slot (Some encoded);
-            page.bytes_used <- page.bytes_used - Bytes.length old + Bytes.length encoded;
+            Dynarray.set page.slots rid.slot (Some (Array.copy row));
+            page.bytes_used <- page.bytes_used - record_bytes old + record_bytes row;
             page.crc_valid <- false;
             Buffer_pool.write t.pool meter (block t rid.page);
             true
@@ -207,11 +225,11 @@ type cursor = {
   mutable page_no : int;
   mutable slot : int;  (* next slot to look at *)
   mutable loaded : page option;
-  mutable current : Bytes.t;  (* the live slot [advance] last stopped on *)
+  mutable current : Row.t;  (* the live slot [advance] last stopped on *)
 }
 
 let scan t meter =
-  { heap = t; meter; page_no = -1; slot = 0; loaded = None; current = Bytes.empty }
+  { heap = t; meter; page_no = -1; slot = 0; loaded = None; current = [||] }
 
 let rec advance c =
   match c.loaded with
@@ -238,16 +256,16 @@ let rec advance c =
         c.slot <- slot + 1;
         match Dynarray.get page.slots slot with
         | None -> advance c
-        | Some bytes ->
+        | Some row ->
             Cost.charge_cpu c.meter 1;
-            c.current <- bytes;
+            c.current <- row;
             true
       end
 
-let encoding c = c.current
+let current c = c.current
 let rid c = Rid.make ~page:c.page_no ~slot:(c.slot - 1)
 
-let next c = if advance c then Some (rid c, Row.decode c.current) else None
+let next c = if advance c then Some (rid c, c.current) else None
 
 (* The corrupt-page exit (REPAIR TABLE): probe every page cold and
    rewrite the ones whose checksum verification fails — restamp the

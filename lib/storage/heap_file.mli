@@ -3,7 +3,16 @@
     Records are appended to pages of a fixed byte capacity; a record's
     RID is its (page, slot) address and never changes.  Every page
     access goes through the buffer pool, so sequential scans, random
-    fetches, and clustering effects cost what they should. *)
+    fetches, and clustering effects cost what they should.
+
+    A page keeps each record as its row, copied once when it is
+    inserted or updated.  Every reader — {!fetch}, {!fetch_via}, the
+    scan cursor and {!iter} — is handed that same stored array, never a
+    copy: it is shared with the page and with every other reader, and
+    must never be mutated (see {!Row}).  A page still accounts each
+    record by its stored size ({!record_bytes}), so how many records a
+    page holds, and so every RID, follows the record's bytes, not its
+    in-memory form. *)
 
 open Rdb_data
 
@@ -21,12 +30,20 @@ val records_per_page : t -> int
 (** Average live records per page (>= 1), for Yao-formula
     projections. *)
 
+val record_bytes : Row.t -> int
+(** The record's stored size: a 2-byte field count, then per field one
+    tag byte plus its payload — 0 bytes for NULL, 8 for an Int or a
+    Float, 4 + length for a string.  A slot takes 4 bytes more for its
+    directory entry. *)
+
 val insert : t -> Row.t -> Rid.t
-(** Append; starts a new page when the current one is full. *)
+(** Append a copy of the row; starts a new page when the current one
+    is full.  The caller's array is not kept. *)
 
 val fetch : t -> Cost.t -> Rid.t -> Row.t option
-(** Random fetch by RID.  Charges one page access.  [None] if deleted
-    or out of range. *)
+(** Random fetch by RID: the stored row itself, not a copy.  Charges
+    one page access and one cpu op.  [None] if deleted or out of
+    range. *)
 
 (** {1 Cached fetch} — batch-quantum page-locality fast path.
 
@@ -55,6 +72,8 @@ val delete : t -> Cost.t -> Rid.t -> bool
 (** Tombstone the record; [false] if absent. *)
 
 val update : t -> Cost.t -> Rid.t -> Row.t -> bool
+(** Replace the record with a copy of the row; [false] if absent.  A
+    reader that holds the old row keeps the old values. *)
 
 (** {1 Sequential scan} *)
 
@@ -66,28 +85,29 @@ val scan : t -> Cost.t -> cursor
 
 val advance : cursor -> bool
 (** Step to the next live record in physical order, charging one cpu
-    op for it; [false] once the heap is exhausted.  Nothing is decoded:
-    {!encoding} and {!rid} read where the cursor stopped, so a scan
-    that tests the encoding first decodes only the records it keeps. *)
+    op for it; [false] once the heap is exhausted.  {!current} and
+    {!rid} read where the cursor stopped. *)
 
-val encoding : cursor -> Bytes.t
-(** The current record's stored encoding ({!Row.decode} reads it).
-    Shared with the page, not a copy: never mutate it. *)
+val current : cursor -> Row.t
+(** The current record's stored row, shared with the page. *)
 
 val rid : cursor -> Rid.t
 (** The current record's RID. *)
 
 val next : cursor -> (Rid.t * Row.t) option
-(** {!advance}, then the current record decoded. *)
+(** {!advance}, then the current record's RID and stored row. *)
 
 val iter : t -> Cost.t -> (Rid.t -> Row.t -> unit) -> unit
-(** Every live record, decoded, in physical order. *)
+(** Every live record's stored row, in physical order. *)
 
 val rewrite_corrupt_pages : t -> Cost.t -> int
 (** The corrupt-page exit: evict the file (cold probe), read every
     page, and rewrite each one whose checksum verification fails —
     the crc is restamped from the live slot contents and the page
-    write charged.  Returns the number of pages rewritten.  This is
+    write charged.  A page's checksum folds each live slot's fields
+    (its tag, then its payload; a string by its bytes) and is computed
+    and verified only on a cold read under a fault injector.  Returns
+    the number of pages rewritten.  This is
     what [REPAIR TABLE] runs before its index logic, giving corrupt
     heap blocks the "until the page is rewritten" recovery that
     {!Fault} documents.  Transient and persistent faults are not

@@ -113,14 +113,7 @@ let test_validate_row () =
     | Error _ -> true
     | Ok () -> false)
 
-(* --- row codec ----------------------------------------------------------- *)
-
-let prop_row_roundtrip =
-  QCheck.Test.make ~name:"encode/decode roundtrip" ~count:300
-    (QCheck.list_of_size (QCheck.Gen.int_range 0 8) arb_value)
-    (fun vs ->
-      let row = Array.of_list vs in
-      Row.equal row (Row.decode (Row.encode row)))
+(* --- rows ----------------------------------------------------------------- *)
 
 let test_row_project_compare () =
   let r1 = [| Value.int 1; Value.str "b"; Value.int 9 |] in
@@ -129,110 +122,6 @@ let test_row_project_compare () =
     (Row.equal (Row.project r1 [| 2; 0 |]) [| Value.int 9; Value.int 1 |]);
   check "compare_at first col ties" true (Row.compare_at [| 0 |] r1 r2 = 0);
   check "compare_at second col" true (Row.compare_at [| 0; 1 |] r1 r2 > 0)
-
-let test_row_decode_corrupt () =
-  check "truncated fails" true
-    (try
-       ignore (Row.decode (Bytes.of_string "\x02\x00\x01"));
-       false
-     with Failure _ -> true)
-
-(* --- reading the encoding in place ---------------------------------------- *)
-
-(* Values that collide across types: Int/Float twins, nan, short strings
-   over a two-letter alphabet. *)
-let arb_field =
-  QCheck.make ~print:Value.to_string
-    QCheck.Gen.(
-      oneof
-        [
-          return Value.Null;
-          map Value.int (int_range (-3) 3);
-          map (fun i -> Value.float (float_of_int i)) (int_range (-3) 3);
-          map Value.float (float_range (-3.0) 3.0);
-          return (Value.float Float.nan);
-          map Value.str (string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 0 3));
-        ])
-
-let same_value a b = Value.type_of a = Value.type_of b && Value.compare a b = 0
-
-let prop_field_readers_agree =
-  QCheck.Test.make ~name:"field readers agree with decode" ~count:300
-    (QCheck.pair (QCheck.list_of_size (QCheck.Gen.int_range 1 6) arb_field) arb_field)
-    (fun (vs, probe) ->
-      let row = Array.of_list vs in
-      let bytes = Row.encode row in
-      let decoded = Row.decode bytes in
-      let agrees i =
-        let off = Row.field_offset bytes i in
-        same_value (Row.field_value bytes off) decoded.(i)
-        && Row.field_is_null bytes off = Value.is_null decoded.(i)
-        && List.for_all
-             (fun v -> Row.compare_field bytes off v = Value.compare decoded.(i) v)
-             (probe :: vs)
-      in
-      List.for_all agrees (List.init (Array.length row) Fun.id))
-
-let fails f =
-  match f () with
-  | _ -> false
-  | exception Failure _ -> true
-
-(* Every reader of a field the damage reaches raises [Failure], as
-   [decode] does; fields wholly before a cut still read back. *)
-let prop_damaged_input_fails =
-  QCheck.Test.make ~name:"truncated or bad-tag input raises Failure" ~count:300
-    (QCheck.triple
-       (QCheck.list_of_size (QCheck.Gen.int_range 1 6) arb_field)
-       QCheck.small_nat QCheck.small_nat)
-    (fun (vs, cut_seed, tag_seed) ->
-      (* shrinking may empty the list *)
-      vs = []
-      ||
-      let row = Array.of_list vs in
-      let n = Array.length row in
-      let bytes = Row.encode row in
-      let ends =
-        Array.init n (fun i ->
-            if i + 1 < n then Row.field_offset bytes (i + 1) else Bytes.length bytes)
-      in
-      let readers b i =
-        [
-          (fun () -> ignore (Row.field_value b (Row.field_offset b i)));
-          (fun () -> ignore (Row.field_is_null b (Row.field_offset b i)));
-          (fun () -> ignore (Row.compare_field b (Row.field_offset b i) Value.Null));
-        ]
-      in
-      let k = cut_seed mod Bytes.length bytes in
-      let cut = Bytes.sub bytes 0 k in
-      let truncated_ok =
-        fails (fun () -> Row.decode cut)
-        && List.for_all
-             (fun i ->
-               if ends.(i) > k then List.for_all fails (readers cut i)
-               else same_value (Row.field_value cut (Row.field_offset cut i)) row.(i))
-             (List.init n Fun.id)
-      in
-      let i = tag_seed mod n in
-      let bad = Bytes.copy bytes in
-      Bytes.set bad (Row.field_offset bytes i) (Char.chr (4 + (tag_seed mod 252)));
-      let bad_tag_ok =
-        fails (fun () -> Row.decode bad)
-        && List.for_all fails (readers bad i)
-        && (i + 1 >= n || fails (fun () -> Row.field_offset bad (i + 1)))
-      in
-      truncated_ok && bad_tag_ok)
-
-let test_field_offset_range () =
-  let bytes = Row.encode [| Value.int 1; Value.Null |] in
-  check "past the arity" true
-    (match Row.field_offset bytes 2 with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  check "negative" true
-    (match Row.field_offset bytes (-1) with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 let () =
   Alcotest.run "rdb_data"
@@ -256,13 +145,5 @@ let () =
           Alcotest.test_case "duplicates rejected" `Quick test_schema_dup_rejected;
           Alcotest.test_case "validate_row" `Quick test_validate_row;
         ] );
-      ( "row",
-        [
-          QCheck_alcotest.to_alcotest prop_row_roundtrip;
-          Alcotest.test_case "project/compare" `Quick test_row_project_compare;
-          Alcotest.test_case "corrupt decode" `Quick test_row_decode_corrupt;
-          QCheck_alcotest.to_alcotest prop_field_readers_agree;
-          QCheck_alcotest.to_alcotest prop_damaged_input_fails;
-          Alcotest.test_case "field_offset range" `Quick test_field_offset_range;
-        ] );
+      ( "row", [ Alcotest.test_case "project/compare" `Quick test_row_project_compare ] );
     ]

@@ -213,7 +213,6 @@ let prop_compiled_matches_interpreter =
       let c = Predicate.compile p wide_schema in
       let expect = Predicate.eval p wide_schema row in
       let expect_maybe = Predicate.eval_maybe p wide_schema row in
-      let bytes = Row.encode row in
       let key = Row.project row key_ids in
       let table, tree = Lazy.force key_fixture in
       let idx =
@@ -228,8 +227,6 @@ let prop_compiled_matches_interpreter =
       let ck = Predicate.compile_key p wide_schema ~key_ids in
       Predicate.test c row = expect
       && Predicate.test_maybe c row = expect_maybe
-      && Predicate.test_encoded c bytes = expect
-      && Predicate.test_encoded_maybe c bytes = expect_maybe
       && Predicate.test_key ck key = Predicate.eval p wide_schema synth
       && Predicate.test_key_maybe ck key = Predicate.eval_maybe p wide_schema synth)
 

@@ -75,8 +75,8 @@ let drain step_fn =
 
 (* --- three-valued logic at the scans ----------------------------------------- *)
 
-(* Tscan tests each record's stored encoding and Sscan/Fscan each index
-   key, through the compiled restriction; with NULLs in the data every
+(* Tscan tests each stored row and Sscan/Fscan each index key, through
+   the compiled restriction; with NULLs in the data every
    scan must keep exactly the rows the reference interpreter keeps. *)
 let null_schema =
   Schema.make

@@ -521,6 +521,28 @@ let test_join_projection_and_order () =
   let rec mono = function a :: b :: r -> a <= b && mono (b :: r) | _ -> true in
   check "ordered by AMT" true (mono amts)
 
+(* A LIMIT on a plain join keeps the first rows of the unlimited join
+   and stops fetching the outer side once they are in. *)
+let test_join_limit_stops_early () =
+  let sql = "SELECT NAME, AMT FROM CUST, ORD WHERE CUST.CID = ORD.CID AND AMT > CITY" in
+  let all = rows_of (mk_join_db ()) sql in
+  let r = Executor.execute_sql (mk_join_db ()) (sql ^ " LIMIT 5") in
+  check "prefix of the unlimited join" true
+    (r.Executor.rows = List.filteri (fun i _ -> i < 5) all);
+  (match r.Executor.summaries with
+  | [ ("CUST", outer); ("ORD", _) ] ->
+      check "outer stopped early" true (outer.R.rows_delivered < 200)
+  | l -> Alcotest.fail (Printf.sprintf "expected 2 summaries, got %d" (List.length l)));
+  let exists =
+    Executor.execute_sql (mk_join_db ())
+      "SELECT OID FROM ORD WHERE OID < 3 AND EXISTS (SELECT NAME FROM CUST, ORD WHERE \
+       CUST.CID = ORD.CID)"
+  in
+  check_int "EXISTS over a join" 3 (List.length exists.Executor.rows);
+  match exists.Executor.summaries with
+  | ("CUST", outer) :: _ -> check "EXISTS outer stopped early" true (outer.R.rows_delivered < 200)
+  | _ -> Alcotest.fail "EXISTS: no CUST summary first"
+
 let test_join_mixed_residual () =
   (* A cross-table non-equality conjunct must be applied post-join. *)
   let db = mk_join_db () in
@@ -620,6 +642,27 @@ let test_paper_nested_example_goals () =
       check "A by user request" true (sa.R.goal_provenance = "user request")
   | l -> Alcotest.fail (Printf.sprintf "expected 3 summaries, got %d" (List.length l))
 
+(* DISTINCT and aggregates need every qualifying row before a LIMIT
+   can apply, so the LIMIT does not make their retrieval fast-first. *)
+let test_limit_under_distinct_or_aggregate () =
+  let summary sql =
+    match (Executor.execute_sql (mkdb ()) sql).Executor.summaries with
+    | [ (_, s) ] -> s
+    | l -> Alcotest.fail (Printf.sprintf "expected 1 summary, got %d" (List.length l))
+  in
+  check "DISTINCT + LIMIT context" true
+    (context_of (mkdb ()) "SELECT DISTINCT A FROM T LIMIT 2" ~outer:None = Some Goal.Sort);
+  check "aggregate + LIMIT context" true
+    (context_of (mkdb ()) "SELECT COUNT(*) FROM T LIMIT 1" ~outer:None
+    = Some Goal.Aggregate);
+  let limited = summary "SELECT DISTINCT A FROM T WHERE A < 40 LIMIT 3" in
+  let unlimited = summary "SELECT DISTINCT A FROM T WHERE A < 40" in
+  check "DISTINCT + LIMIT total-time" true (limited.R.goal = Goal.Total_time);
+  check "same cost as without the LIMIT" true
+    (limited.R.total_cost = unlimited.R.total_cost);
+  check "aggregate + LIMIT total-time" true
+    ((summary "SELECT COUNT(*) FROM T WHERE A < 40 LIMIT 1").R.goal = Goal.Total_time)
+
 let test_explain_reports_decisions () =
   let db = mkdb () in
   let r = Executor.execute_sql db "EXPLAIN SELECT S FROM T WHERE A = 1" in
@@ -687,6 +730,7 @@ let () =
           Alcotest.test_case "counts vs oracle" `Quick test_join_counts_match_oracle;
           Alcotest.test_case "projection/order/limit" `Quick test_join_projection_and_order;
           Alcotest.test_case "cross-table residual" `Quick test_join_mixed_residual;
+          Alcotest.test_case "LIMIT stops the outer side" `Quick test_join_limit_stops_early;
           Alcotest.test_case "errors" `Quick test_join_errors;
           Alcotest.test_case "same-table column compare" `Quick
             test_same_table_column_comparison;
@@ -695,6 +739,8 @@ let () =
         [
           Alcotest.test_case "context rules" `Quick test_goal_context_rules;
           Alcotest.test_case "paper nested example" `Quick test_paper_nested_example_goals;
+          Alcotest.test_case "LIMIT under DISTINCT or aggregate" `Quick
+            test_limit_under_distinct_or_aggregate;
           Alcotest.test_case "EXPLAIN" `Quick test_explain_reports_decisions;
         ] );
     ]

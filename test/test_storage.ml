@@ -358,6 +358,101 @@ let prop_heap_matches_model =
         model true
       && Heap_file.record_count h = Hashtbl.length model)
 
+(* The heap keeps a copy of each row and hands that same array to every
+   reader: the caller's array stays the caller's, and a reader's row
+   never changes under it. *)
+let test_heap_rows_shared_and_isolated () =
+  let p = Buffer_pool.create ~capacity:64 () in
+  let h = Heap_file.create ~page_bytes:256 p in
+  let m = Cost.create () in
+  let mine = row 7 in
+  let rid = Heap_file.insert h mine in
+  for i = 8 to 40 do
+    ignore (Heap_file.insert h (row i))
+  done;
+  mine.(0) <- Value.int (-1);
+  let stored = Option.get (Heap_file.fetch h m rid) in
+  check "insert copies" true (Row.equal stored (row 7));
+  check "fetches share" true (Option.get (Heap_file.fetch h m rid) == stored);
+  let cache = Heap_file.fetch_cache () in
+  check "cached fetch shares" true
+    (Option.get (Heap_file.fetch_via h m cache rid) == stored);
+  check "cursor shares" true
+    (match Heap_file.next (Heap_file.scan h m) with
+    | Some (r, row) -> Rid.equal r rid && row == stored
+    | None -> false);
+  let via_iter = ref [||] in
+  Heap_file.iter h m (fun r row -> if Rid.equal r rid then via_iter := row);
+  check "iter shares" true (!via_iter == stored);
+  let replacement = row 99 in
+  check "update" true (Heap_file.update h m rid replacement);
+  replacement.(1) <- Value.Null;
+  check "update copies" true (Row.equal (Option.get (Heap_file.fetch h m rid)) (row 99));
+  check "old row keeps old values" true (Row.equal stored (row 7));
+  check "delete" true (Heap_file.delete h m rid);
+  check "deleted" true (Heap_file.fetch h m rid = None);
+  (* Through the table, which also feeds its indexes from the row. *)
+  let t =
+    Rdb_engine.Table.create p ~name:"ISO"
+      (Schema.make [ Schema.col "ID" Value.T_int; Schema.col "S" Value.T_str ])
+  in
+  let mine = row 3 in
+  let rid = Rdb_engine.Table.insert t mine in
+  mine.(1) <- Value.str "changed";
+  check "table insert copies" true
+    (Row.equal (Option.get (Heap_file.fetch (Rdb_engine.Table.heap t) m rid)) (row 3))
+
+(* The record's stored size, written out as the bytes it would occupy:
+   a 2-byte field count, then per field a tag byte and its payload. *)
+let reference_record_bytes row =
+  let buf = Buffer.create 64 in
+  Buffer.add_uint16_le buf (Array.length row);
+  Array.iter
+    (fun (v : Value.t) ->
+      match v with
+      | Null -> Buffer.add_char buf '\000'
+      | Int i ->
+          Buffer.add_char buf '\001';
+          Buffer.add_int64_le buf (Int64.of_int i)
+      | Float f ->
+          Buffer.add_char buf '\002';
+          Buffer.add_int64_le buf (Int64.bits_of_float f)
+      | Str s ->
+          Buffer.add_char buf '\003';
+          Buffer.add_int32_le buf (Int32.of_int (String.length s));
+          Buffer.add_string buf s)
+    row;
+  Buffer.length buf
+
+(* Pages fill by that size (plus a 4-byte slot entry each), so every
+   RID lands on the page the reference packing puts it on. *)
+let prop_record_bytes_match_reference =
+  let gen_value =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map Value.int int;
+          map Value.float float;
+          map Value.str (string_size ~gen:printable (int_range 0 300));
+        ])
+  in
+  QCheck.Test.make ~name:"stored size matches the reference" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 12) (array_size (int_range 0 6) gen_value)))
+    (fun rows ->
+      let page_bytes = 512 in
+      let h = Heap_file.create ~page_bytes (Buffer_pool.create ~capacity:8 ()) in
+      let _, _, expected_pages =
+        List.fold_left
+          (fun (page, used, acc) r ->
+            let size = reference_record_bytes r + 4 in
+            if page >= 0 && used + size <= page_bytes then (page, used + size, page :: acc)
+            else (page + 1, size, (page + 1) :: acc))
+          (-1, 0, []) rows
+      in
+      List.for_all (fun r -> Heap_file.record_bytes r = reference_record_bytes r) rows
+      && List.map (fun r -> (Heap_file.insert h r).Rid.page) rows = List.rev expected_pages)
+
 let test_pool_capacity_one () =
   let p = Buffer_pool.create ~capacity:1 () in
   let m = Cost.create () in
@@ -453,6 +548,9 @@ let () =
           Alcotest.test_case "scan order and cost" `Quick test_heap_scan_order_and_cost;
           Alcotest.test_case "bogus rid" `Quick test_heap_fetch_bogus_rid;
           QCheck_alcotest.to_alcotest prop_heap_matches_model;
+          Alcotest.test_case "stored rows are shared and isolated" `Quick
+            test_heap_rows_shared_and_isolated;
+          QCheck_alcotest.to_alcotest prop_record_bytes_match_reference;
         ] );
       ( "spill",
         [
