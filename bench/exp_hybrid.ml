@@ -64,13 +64,11 @@ let row_key rows =
    under a retry-transient ladder; returns (rows, charged cost). *)
 let drain_tactic m tac =
   let out = ref [] in
-  let d =
-    Driver.make
-      (Scan.cursor_of_step ~cost:(fun () -> Cost.total m) tac)
-      Tactic.Policy.(seal (stack [ retry_transient ]))
-  in
+  let d = Driver.make Tactic.Policy.(seal (stack [ retry_transient ])) in
   (match
-     Driver.drain d ~budget:infinity
+     Driver.drain d
+       (Scan.cursor_of_step ~cost:(fun () -> Cost.total m) tac)
+       ~budget:infinity
        ~on_rows:(fun b -> List.iter (fun (_, r) -> out := r :: !out) b.Scan.rows)
    with
   | Ok () -> ()

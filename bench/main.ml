@@ -31,7 +31,6 @@ let experiments : (string * string * (unit -> unit)) list =
     (Exp_chaos.name, Exp_chaos.description, Exp_chaos.run);
     (Exp_storm.name, Exp_storm.description, Exp_storm.run);
     (Exp_crash.name, Exp_crash.description, Exp_crash.run);
-    (Exp_batch.name, Exp_batch.description, Exp_batch.run);
     (Exp_feedback.name, Exp_feedback.description, Exp_feedback.run);
     (Exp_hybrid.name, Exp_hybrid.description, Exp_hybrid.run);
   ]

@@ -177,7 +177,7 @@ let grant t ~budget ~max_steps =
   Driver.clocked_loop
     ~spent:(fun () -> Cost.total t.meter)
     ~budget ~max_steps
-    ~stop:(fun () -> !res <> None)
+    ~stop:(fun _ -> !res <> None)
     ~step:(fun () ->
       match step t with
       | `Working -> `Continue

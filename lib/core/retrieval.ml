@@ -7,10 +7,6 @@ open Rdb_storage
 type config = {
   jscan : Jscan.config;
   speed_ratio : float;
-  batch_budget : float;
-      (** cost budget per cursor batch; 0. = one step per batch (the
-          row-at-a-time protocol).  Steers amortization only: rows,
-          order, and charged cost are batch-size-independent *)
   bgr_enabled : bool;
       (** [false] drops the competitive background-refinement arms
           (index-only falls back to its foreground Sscan, sorted to its
@@ -36,7 +32,6 @@ let default_config =
   {
     jscan = Jscan.default_config;
     speed_ratio = 1.0;
-    batch_budget = 0.0;
     bgr_enabled = true;
     deadline = None;
     feedback_rate = 0.0;
@@ -194,13 +189,10 @@ type cursor = {
           wrapping [tac]: the Tscan fallback and the final stage skip
           them, and the foreground buffer caps count them *)
   mutable driver : Driver.t option;
-      (** the shared cursor driver pumping the machine; installed right
-          after construction (it closes over this record).
-          Consecutive-fault counting lives in the driver *)
-  mutable inbox : (Rid.t * Row.t) list;
-      (** batch rows not yet handed to [step] *)
-  mutable sink : Scan.batch -> unit;
-      (** moves a batch's rows into [inbox]; built once, at open *)
+      (** the shared driver settling each step's outcome through the
+          fault policy; installed at the first step (the policy closes
+          over this record).  Consecutive-fault counting lives in the
+          driver *)
   mutable pending_bg : (Fault.failure -> unit) option;
       (** quarantine action for a fault surfaced by a background
           competitor this quantum; [None] means the fault is the
@@ -214,8 +206,7 @@ type cursor = {
   mutable summary : summary option;
 }
 
-let total_cost c =
-  Cost.total c.fgr_meter +. Cost.total c.bgr_meter +. Cost.total c.est_meter
+let total_cost c = Cost.total3 c.fgr_meter c.bgr_meter c.est_meter
 
 (* ------------------------------------------------------------------ *)
 (* Tactic selection                                                    *)
@@ -410,7 +401,7 @@ let bg_failed c quarantine f =
    settled background outcome (the [Final_stage] trace event fires
    here, in the switch quantum, exactly as the bespoke machines
    emitted it) and step it from then on.  [store] parks the stage on
-   the machine record so the batch-boundary cache drop can reach it. *)
+   the machine record so the per-step cache drop can reach it. *)
 let stage2_successor c ~store outcome =
   let s2 = make_stage2 c outcome in
   store s2;
@@ -741,8 +732,6 @@ let open_ ?(config = default_config) table (req : request) =
       feedback_pending;
       delivered_rids = Rid_set.create ();
       driver = None;
-      inbox = [];
-      sink = ignore;
       pending_bg = None;
       aborted = None;
       deadline_hit = None;
@@ -753,7 +742,6 @@ let open_ ?(config = default_config) table (req : request) =
     }
   in
   c.tac <- tactic_of c;
-  c.sink <- (fun b -> c.inbox <- b.Scan.rows);
   c
 
 (* ------------------------------------------------------------------ *)
@@ -877,9 +865,8 @@ let policy_description tactic =
        ~retry:(Printf.sprintf "retry(%d)" retry_limit)
        ~quarantine:"quarantine" ~abort_heap:"abort-heap" ~fallback:"tscan-fallback")
 
-(* Page-handle caches are only sound within one batch; the machine
-   cursor invalidates whichever its current shape holds on every batch
-   boundary. *)
+(* Page-handle caches are only sound within one step; the cursor
+   invalidates whichever its current shape holds after every step. *)
 let drop_machine_caches c =
   match c.machine with
   | M_fscan f -> Fscan.drop_cache f
@@ -891,84 +878,77 @@ let drop_machine_caches c =
       Final_stage.drop_cache fs
   | _ -> ()
 
-let machine_cursor c =
-  Scan.cursor_of_step
-    ~cost:(fun () -> total_cost c)
-    ~on_yield:(fun () -> drop_machine_caches c)
-    (fun () ->
-      (* [pending_bg] is only ever set on a path that returns [Failed],
-         which ends the batch — so clearing it per step keeps the
-         blame assignment of the step-at-a-time protocol. *)
-      c.pending_bg <- None;
-      c.tac ())
-
 let driver_of c =
   match c.driver with
   | Some d -> d
   | None ->
-      let d = Driver.make (machine_cursor c) (fault_policy c) in
+      let d = Driver.make (fault_policy c) in
       c.driver <- Some d;
       d
 
-(* One quantum of raw progress: hand out a buffered row if the last
-   batch left any, otherwise pump the driver for one batch — the unit
-   the multi-query session scheduler interleaves by.  At the default
-   [batch_budget = 0.] a batch is a single machine step, reproducing
-   the row-at-a-time protocol exactly.  The driver hands a batch's
-   rows over before any fault policy runs; the cursor's [distinct] has
-   already recorded them, so a fallback never redelivers one. *)
+(* One quantum of raw progress: one step of the composed tactic — the
+   unit the multi-query session scheduler interleaves by — with its
+   outcome settled through the driver's fault policy.  The step comes
+   back as the tactic yielded it: a [Failed] one has been settled
+   (retried, absorbed, or stopped — only the abort-heap rung stops, and
+   it aborts the cursor, which the next quantum sees) and counts as a
+   quantum of work without a row.  A delivered row is already recorded
+   by the cursor's [distinct], so a fallback never redelivers it. *)
 let quantum_raw c =
-  match c.inbox with
-  | p :: rest ->
-      c.inbox <- rest;
-      `Row p
-  | [] -> (
-      if c.aborted <> None then `Exhausted
-      else
-        let progress =
-          Driver.pump (driver_of c) ~budget:c.cfg.batch_budget ~on_rows:c.sink
-        in
-        match c.inbox with
-        | p :: rest ->
-            c.inbox <- rest;
-            `Row p
-        | [] -> (
-            match progress with
-            | Driver.More | Driver.Stopped _ -> `Working
-            | Driver.Exhausted -> `Exhausted))
+  if c.aborted <> None then Scan.Done
+  else begin
+    (* [pending_bg] is only ever set on a path that returns [Failed]:
+       clearing it per step blames each fault on the side that raised
+       it. *)
+    c.pending_bg <- None;
+    let s = c.tac () in
+    drop_machine_caches c;
+    let status =
+      match s with
+      | Scan.Deliver _ | Scan.Continue -> Scan.More
+      | Scan.Done -> Scan.Exhausted
+      | Scan.Failed f -> Scan.Faulted f
+    in
+    ignore (Driver.settle (driver_of c) ~steps:1 status : Driver.progress);
+    s
+  end
 
 (* The one cost bound: once charged cost reaches [config.deadline] the
    cursor stops for good.  The check that first sees it records the
-   [Deadline_exceeded] event, and [close] reports [Timed_out]. *)
-let past_deadline c =
+   [Deadline_exceeded] event, and [close] reports [Timed_out].
+   [deadline_reached] tests a clock reading the caller already took;
+   [past_deadline] takes one, and only when a deadline is armed. *)
+let deadline_reached c spent =
   match (c.deadline_hit, c.cfg.deadline) with
   | Some _, _ -> true
-  | None, Some deadline when (not c.closed) && total_cost c >= deadline ->
-      let spent = total_cost c in
+  | None, Some deadline when (not c.closed) && spent >= deadline ->
       Trace.emit c.trace (Trace.Deadline_exceeded { spent; deadline });
       c.deadline_hit <- Some (spent, deadline);
       true
   | None, _ -> false
 
-(* One quantum: [`Row] delivered a row, [`Working] made progress
-   without one, [`Done] means exhausted, timed out, aborted or
-   closed (the summary tells which). *)
-let step c =
-  let raw =
-    if c.closed || past_deadline c then `Done
-    else if c.needs_sort then begin
+let past_deadline c =
+  match c.cfg.deadline with None -> false | Some _ -> deadline_reached c (total_cost c)
+
+(* One quantum past the stop checks.  [Deliver] hands a row out; [Done]
+   means exhausted or aborted (the summary tells which); [Continue] and
+   a settled [Failed] made progress without a row. *)
+let advance c =
+  let s =
+    if not c.needs_sort then quantum_raw c
+    else
       match c.sorted_rows with
-      | Some (p :: rest) ->
+      | Some ((rid, row) :: rest) ->
           c.sorted_rows <- Some rest;
-          `Row p
-      | Some [] -> `Done
+          Scan.Deliver (rid, row)
+      | Some [] -> Scan.Done
       | None -> (
           match quantum_raw c with
-          | `Row p ->
-              c.presort <- p :: c.presort;
-              `Working
-          | `Working -> `Working
-          | `Exhausted ->
+          | Scan.Deliver (rid, row) ->
+              c.presort <- (rid, row) :: c.presort;
+              Scan.Continue
+          | (Scan.Continue | Scan.Failed _) as s -> s
+          | Scan.Done ->
               (* Materialize and sort (the SORT node that made this goal
                  total-time in the first place). *)
               let arr = Array.of_list (List.rev c.presort) in
@@ -976,26 +956,23 @@ let step c =
               Array.sort (fun (_, a) (_, b) -> Row.compare_at c.order_ids a b) arr;
               Cost.charge_cpu c.fgr_meter (Array.length arr);
               c.sorted_rows <- Some (Array.to_list arr);
-              `Working)
-    end
-    else begin
-      match quantum_raw c with
-      | (`Row _ | `Working) as r -> r
-      | `Exhausted -> `Done
-    end
+              Scan.Continue)
   in
-  (match raw with
-  | `Row _ ->
+  (match s with
+  | Scan.Deliver _ ->
       c.delivered <- c.delivered + 1;
       if c.first_row_cost = None then c.first_row_cost <- Some (total_cost c)
-  | `Working | `Done -> ());
-  raw
+  | Scan.Continue | Scan.Done | Scan.Failed _ -> ());
+  s
+
+(* One quantum of the stream API; [Done] also once closed or timed out. *)
+let step c = if c.closed || past_deadline c then Scan.Done else advance c
 
 let rec fetch_pair c =
   match step c with
-  | `Row p -> Some p
-  | `Working -> fetch_pair c
-  | `Done -> None
+  | Scan.Deliver (rid, row) -> Some (rid, row)
+  | Scan.Continue | Scan.Failed _ -> fetch_pair c
+  | Scan.Done -> None
 
 let fetch c = Option.map snd (fetch_pair c)
 
@@ -1010,21 +987,23 @@ let drain_pairs c =
 let spent = total_cost
 
 (* The cost bound joins the stop predicate after the caller's [stop],
-   so a caller that is done (a LIMIT reached) pauses rather than times
-   out; a grant that exhausts the cursor reports that first. *)
+   tested on the loop's one clock reading, so a caller that is done (a
+   LIMIT reached) pauses rather than times out; a grant that exhausts
+   the cursor reports that first.  The step re-tests only [closed]: the
+   stop has just tested the deadline against the same reading. *)
 let grant c ~budget ~max_steps ~stop ~on_row =
   let finished = ref false in
   Driver.clocked_loop
     ~spent:(fun () -> total_cost c)
     ~budget ~max_steps
-    ~stop:(fun () -> stop () || past_deadline c)
+    ~stop:(fun now -> stop () || deadline_reached c now)
     ~step:(fun () ->
-      match step c with
-      | `Row (_, row) ->
+      match if c.closed then Scan.Done else advance c with
+      | Scan.Deliver (_, row) ->
           on_row row;
           `Continue
-      | `Working -> `Continue
-      | `Done ->
+      | Scan.Continue | Scan.Failed _ -> `Continue
+      | Scan.Done ->
           finished := true;
           `Finished);
   if !finished then `Exhausted

@@ -26,15 +26,6 @@ type config = {
   speed_ratio : float;
       (** foreground:background cost-speed ratio (1.0 = equal, the
           optimum under hyperbolic cost distributions [Ant91B]) *)
-  batch_budget : float;
-      (** cost budget per cursor batch (the {!Rdb_exec.Scan.cursor}
-          quantum).  [0.] — the default — runs one machine step per
-          batch, the row-at-a-time protocol; larger budgets amortize
-          per-step dispatch and buffer-pool probes on hot loops.  Like
-          every config knob this steers cost only: delivered rows,
-          their order, and the charged totals are identical across
-          budgets (pinned by the batch-invariance properties in
-          [test_exec] / [test_oracle] and [bench -e batch]) *)
   bgr_enabled : bool;
       (** [false] drops the {e competitive} background-refinement arms:
           the index-only tactic degrades to its foreground Sscan and
@@ -186,14 +177,15 @@ val grant :
   stop:(unit -> bool) ->
   on_row:(Row.t -> unit) ->
   [ `Exhausted | `Timed_out | `Paused ]
-(** One scheduler grant: advance the cursor one quantum at a time
-    until [stop ()] holds, the cursor's [config.deadline] is reached,
-    [budget] worth of cost has been charged since entry, or
-    [max_steps] quanta ran (all checked before each quantum, in that
-    order — a spent budget grants nothing).  Delivered rows go to
-    [on_row].  Returns [`Exhausted] if the retrieval ran out during
-    the grant, else [`Timed_out] if the deadline stopped it (a [stop]
-    that holds first wins), else [`Paused].  This is
+(** One scheduler grant: advance the cursor one quantum — one step of
+    its composed tactic — at a time until [stop ()] holds, the
+    cursor's [config.deadline] is reached, [budget] worth of cost has
+    been charged since entry, or [max_steps] quanta ran (all checked
+    before each quantum, in that order, against one reading of the
+    cursor's cost clock — a spent budget grants nothing).  Delivered
+    rows go to [on_row].  Returns [`Exhausted] if the retrieval ran
+    out during the grant, else [`Timed_out] if the deadline stopped it
+    (a [stop] that holds first wins), else [`Paused].  This is
     {!Rdb_exec.Driver.clocked_loop} — the one grant loop the session
     scheduler uses for queries and repairs alike. *)
 

@@ -123,6 +123,7 @@ type query = {
   q_limit : int option;
   mutable q_cursor : Retrieval.cursor option;
   mutable q_rows : Row.t list;  (** reversed *)
+  mutable q_count : int;  (** [List.length q_rows], kept as rows arrive *)
   mutable q_summary : Retrieval.summary option;
 }
 
@@ -255,6 +256,7 @@ let submit t ?label ?config ?limit ?quota ?deadline ?arrive_at table request =
          q_limit = limit;
          q_cursor = None;
          q_rows = [];
+         q_count = 0;
          q_summary = None;
        })
 
@@ -308,7 +310,7 @@ let query_finished q =
 
 let job_rows j =
   match j.j_work with
-  | W_query q -> List.length q.q_rows
+  | W_query q -> q.q_count
   | W_repair r -> ( match r.r_repair with Some rp -> Repair.entries rp | None -> 0)
 
 (* --- the run: a state record and its transitions ----------------------- *)
@@ -345,6 +347,7 @@ let finish st j outcome =
   (match (j.j_work, outcome) with
   | W_query q, Lost _ ->
       q.q_rows <- [];
+      q.q_count <- 0;
       q.q_cursor <- None;
       q.q_summary <- None
   | W_query q, (Served | Timed_out _ | Shed _) ->
@@ -503,7 +506,9 @@ let run_quantum cfg j =
       match
         Retrieval.grant cursor ~budget:cfg.quantum ~max_steps:cfg.max_steps_per_quantum
           ~stop:(fun () -> query_finished q)
-          ~on_row:(fun row -> q.q_rows <- row :: q.q_rows)
+          ~on_row:(fun row ->
+            q.q_rows <- row :: q.q_rows;
+            q.q_count <- q.q_count + 1)
       with
       | `Exhausted -> Some Served
       | `Paused -> if query_finished q then Some Served else None
@@ -568,7 +573,7 @@ let session_stats j q =
   {
     s_id = j.j_id;
     s_label = j.j_label;
-    s_rows = List.length q.q_rows;
+    s_rows = q.q_count;
     s_quanta = j.j_quanta;
     s_charged = j.j_charged;
     s_queue_wait = j.j_queue_wait;

@@ -192,7 +192,7 @@ let drain ?(limit = max_int) meter step =
   in
   let stop = { Driver.on_fault = (fun _ ~consec:_ -> Driver.Stop) } in
   match
-    Driver.drain (Driver.make cursor stop) ~budget:infinity ~on_rows:(fun b ->
+    Driver.drain (Driver.make stop) cursor ~budget:infinity ~on_rows:(fun b ->
         rows := List.rev_append (List.map snd b.Scan.rows) !rows)
   with
   | Ok () -> List.rev !rows

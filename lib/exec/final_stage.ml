@@ -9,8 +9,8 @@ type t = {
   restriction : Predicate.compiled;
   exclude : Rid.t -> bool;
   cache : Heap_file.fetch_cache;
-      (** sorted RIDs revisit pages back to back; valid for one batch
-          quantum — the driving cursor's [on_yield] invalidates it *)
+      (** sorted RIDs revisit pages back to back; valid for one
+          quantum — the retrieval driving it drops it after every step *)
   mutable pos : int;
   mutable skipped : int;
 }

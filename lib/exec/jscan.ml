@@ -469,8 +469,8 @@ let run t =
     Tactic.Policy.(
       seal (stack [ retry_transient; absorb_with ~name:"quarantine" (quarantine t) ]))
   in
-  let d = Driver.make (cursor t) policy in
-  (match Driver.drain d ~budget:infinity ~on_rows:(fun _ -> ()) with
+  let d = Driver.make policy in
+  (match Driver.drain d (cursor t) ~budget:infinity ~on_rows:ignore with
   | Ok () -> ()
   | Error _ -> (* the quarantine rung absorbs, never stops *) assert false);
   match t.finished with Some o -> o | None -> assert false

@@ -41,18 +41,10 @@ type batch = {
 
 type cursor = { next_batch : budget:float -> batch }
 
-(* The commonest batch of all — one step, no row — is one shared
-   value. *)
-let idle_step = { rows = []; steps = 1; status = More }
-
-(* Rows accumulate newest-first; a batch of zero or one row is already
-   in delivery order. *)
+(* Rows accumulate newest-first. *)
 let finish on_yield rows steps status =
   on_yield ();
-  match (rows, steps, status) with
-  | [], 1, More -> idle_step
-  | ([] | [ _ ]), _, _ -> { rows; steps; status }
-  | _ -> { rows = List.rev rows; steps; status }
+  { rows = List.rev rows; steps; status }
 
 (* The budget is checked *before* each step, never mid-step, and the
    first step is unconditional: a batch always makes progress.  At

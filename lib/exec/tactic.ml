@@ -75,12 +75,12 @@ let distinct seen tac () =
   | s -> s
 
 let with_policy policy inner =
-  let d = Driver.make inner policy in
+  let d = Driver.make policy in
   {
     Scan.next_batch =
       (fun ~budget ->
         let captured = ref { Scan.rows = []; steps = 0; status = Scan.More } in
-        let progress = Driver.pump d ~budget ~on_rows:(fun b -> captured := b) in
+        let progress = Driver.pump d inner ~budget ~on_rows:(fun b -> captured := b) in
         let status =
           match progress with
           | Driver.More -> Scan.More

@@ -89,7 +89,7 @@ val with_policy : Driver.policy -> Scan.cursor -> Scan.cursor
     reads [More] (pump again), and [Faulted] surfaces only when the
     policy stopped.  Consecutive-fault counting lives in the embedded
     driver and persists across batches, exactly as if the caller had
-    pumped {!Driver.make} directly. *)
+    pumped the cursor through {!Driver.pump} with a driver of its own. *)
 
 (** Fault policies as composable ladders.  A {!Policy.rung} is one
     recourse that either decides a fault or declines it; {!Policy.orelse}

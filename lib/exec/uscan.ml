@@ -216,8 +216,8 @@ let run t =
     Tactic.Policy.(
       seal (stack [ retry_transient; absorb_with ~name:"abandon" (abandon t) ]))
   in
-  let d = Driver.make (cursor t) policy in
-  (match Driver.drain d ~budget:infinity ~on_rows:(fun _ -> ()) with
+  let d = Driver.make policy in
+  (match Driver.drain d (cursor t) ~budget:infinity ~on_rows:ignore with
   | Ok () -> ()
   | Error _ -> (* the abandon rung absorbs, never stops *) assert false);
   match t.finished with Some o -> o | None -> assert false

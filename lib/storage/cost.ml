@@ -27,12 +27,16 @@ let logical_reads t = t.logical
 let block_writes t = t.writes
 let cpu_ops t = t.cpu
 
-let total t =
+let[@inline] total t =
   let w = default_weights in
   (float_of_int t.physical *. w.physical_read)
   +. (float_of_int t.logical *. w.logical_read)
   +. (float_of_int t.writes *. w.block_write)
   +. (float_of_int t.cpu *. w.cpu_op)
+
+(* [total] inlines here, so the three sums stay unboxed and the one
+   result is the only float boxed. *)
+let total3 a b c = total a +. total b +. total c
 
 let add dst src =
   dst.physical <- dst.physical + src.physical;

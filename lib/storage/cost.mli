@@ -36,6 +36,10 @@ val cpu_ops : t -> int
 val total : t -> float
 (** Cost weighted by {!default_weights}. *)
 
+val total3 : t -> t -> t -> float
+(** [total3 a b c] is [total a +. total b +. total c], bit for bit, in
+    one call: the clock of a retrieval that keeps three meters. *)
+
 val add : t -> t -> unit
 (** [add dst src] accumulates [src] into [dst] (used to roll per-scan
     meters up into a retrieval-level meter). *)

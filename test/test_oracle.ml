@@ -121,13 +121,11 @@ let raw_tscan table pred =
    how every engine loop drives its cursors. *)
 let drain_tactic m tac =
   let out = ref [] in
-  let d =
-    Driver.make
-      (Scan.cursor_of_step ~cost:(fun () -> Rdb_storage.Cost.total m) tac)
-      Tactic.Policy.(seal (stack [ retry_transient ]))
-  in
+  let d = Driver.make Tactic.Policy.(seal (stack [ retry_transient ])) in
   (match
-     Driver.drain d ~budget:infinity
+     Driver.drain d
+       (Scan.cursor_of_step ~cost:(fun () -> Rdb_storage.Cost.total m) tac)
+       ~budget:infinity
        ~on_rows:(fun b -> List.iter (fun (_, r) -> out := r :: !out) b.Scan.rows)
    with
   | Ok () -> ()
@@ -178,8 +176,6 @@ let random_config rng =
         simultaneous = Prng.bool rng;
       };
     R.speed_ratio = 0.25 +. Prng.float rng 3.0;
-    R.batch_budget =
-      (match Prng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | 2 -> 7.0 | _ -> 64.0);
     R.feedback_rate =
       (match Prng.int rng 3 with 0 -> 0.0 | 1 -> 0.25 +. Prng.float rng 0.5 | _ -> 1.0);
   }

@@ -252,11 +252,29 @@ let row_list rows = List.map Row.to_string rows
    the crash's [Crashed] counts instead; and the pool counters equal a
    recount over the sessions.  For query-only runs (a repair has no
    [s_outcome] to recount). *)
-let ledger_agrees (r : S.report) =
+let ledger_agrees sched (r : S.report) =
   let finished =
     List.filter_map
       (function S.Finished { id; outcome; _ } -> Some (id, outcome) | _ -> None)
       r.S.events
+  in
+  (* rows: the kept count, what [rows_of] returns, and each query's
+     [Finished] event agree; a lost session delivered nothing *)
+  let rows_of_session id =
+    Option.map (fun s -> s.S.s_rows) (List.find_opt (fun s -> s.S.s_id = id) r.S.sessions)
+  in
+  let rows_agree =
+    List.for_all
+      (fun s ->
+        s.S.s_rows = List.length (S.rows_of sched s.S.s_id)
+        && match s.S.s_outcome with S.Lost _ -> s.S.s_rows = 0 | _ -> true)
+      r.S.sessions
+    && List.for_all
+         (function
+           | S.Finished { id; rows; _ } -> (
+               match rows_of_session id with Some n -> n = rows | None -> true)
+           | _ -> true)
+         r.S.events
   in
   let crash_lost =
     List.fold_left
@@ -278,6 +296,7 @@ let ledger_agrees (r : S.report) =
   && p.S.p_shed = count (function S.Shed _ -> true | _ -> false)
   && p.S.p_timed_out = count (function S.Timed_out _ -> true | _ -> false)
   && p.S.p_lost = count (function S.Lost _ -> true | _ -> false)
+  && rows_agree
 
 let submit_arrival sched table (a : Traffic.arrival) =
   let sp = a.Traffic.spec in
@@ -328,7 +347,7 @@ let prop_shed_isolation =
           survivors
       in
       let _ = S.run calm in
-      ledger_agrees report
+      ledger_agrees storm report
       && List.for_all2
         (fun (_, storm_id) calm_id ->
           row_list (S.rows_of storm storm_id) = row_list (S.rows_of calm calm_id))
@@ -586,17 +605,19 @@ let prop_shard_count_invariance =
               (s.S.s_outcome = S.Served, row_list (S.rows_of sched id)))
             ids
         in
-        (report, sessions)
+        (sched, report, sessions)
       in
-      let rep_1, sess_1 = run 1 in
-      let rep_n, sess_n = run shards in
+      let sched_1, rep_1, sess_1 = run 1 in
+      let sched_n, rep_n, sess_n = run shards in
       (* restore the shared fixture to its single-shard shape *)
       Rdb_storage.Buffer_pool.reshard pool ~shards:1;
       let exact (r : S.report) =
         r.S.pool.S.p_served + r.S.pool.S.p_shed + r.S.pool.S.p_timed_out
         = r.S.pool.S.p_submitted
       in
-      exact rep_1 && exact rep_n && ledger_agrees rep_1 && ledger_agrees rep_n
+      exact rep_1 && exact rep_n
+      && ledger_agrees sched_1 rep_1
+      && ledger_agrees sched_n rep_n
       && rep_1.S.pool.S.p_shards = 1
       && rep_n.S.pool.S.p_shards = shards
       && List.for_all2
@@ -790,7 +811,7 @@ let prop_crash_accounting =
       && (match p.S.p_crash_tick with
          | Some t -> t >= g
          | None -> p.S.p_lost = 0)
-      && ledger_agrees rep)
+      && ledger_agrees sched rep)
 
 let () =
   Alcotest.run "rdb_session"

@@ -21,6 +21,48 @@ let test_cost_accumulation () =
   let expected = 2.0 +. 0.01 +. 1.0 +. (100.0 *. 0.0001) in
   Alcotest.(check (float 1e-9)) "weighted" expected (Cost.total m)
 
+(* A meter holding exactly the given counters, built through the public
+   API: each counter is grown bit by bit in a meter of its own
+   ([add m m] doubles it) and the four are summed into one. *)
+let meter_with ~physical ~logical ~writes ~cpu =
+  let grown charge n =
+    let m = Cost.create () in
+    for bit = 62 downto 0 do
+      Cost.add m m;
+      if n land (1 lsl bit) <> 0 then charge m
+    done;
+    m
+  in
+  let m = Cost.create () in
+  Cost.add m (grown Cost.charge_physical physical);
+  Cost.add m (grown Cost.charge_logical logical);
+  Cost.add m (grown Cost.charge_write writes);
+  Cost.charge_cpu m cpu;
+  m
+
+(* [total3] is a retrieval's clock: every deadline and budget decision
+   compares its reading, so it must equal the three-call sum bit for
+   bit, not within a tolerance. *)
+let prop_total3_bit_identical =
+  let counter = QCheck.Gen.(oneof [ int_bound 1000; int_bound (1 lsl 40) ]) in
+  let counters = QCheck.Gen.(quad counter counter counter counter) in
+  QCheck.Test.make ~name:"total3 bit-identical to summed totals" ~count:500
+    QCheck.(make Gen.(triple counters counters counters))
+    (fun (a, b, c) ->
+      let meter (physical, logical, writes, cpu) =
+        let m = meter_with ~physical ~logical ~writes ~cpu in
+        assert (
+          ( Cost.physical_reads m,
+            Cost.logical_reads m,
+            Cost.block_writes m,
+            Cost.cpu_ops m )
+          = (physical, logical, writes, cpu));
+        m
+      in
+      let a = meter a and b = meter b and c = meter c in
+      Int64.bits_of_float (Cost.total3 a b c)
+      = Int64.bits_of_float (Cost.total a +. Cost.total b +. Cost.total c))
+
 let test_cost_add_snapshot () =
   let a = Cost.create () and b = Cost.create () in
   Cost.charge_physical a;
@@ -514,6 +556,7 @@ let () =
         [
           Alcotest.test_case "accumulation" `Quick test_cost_accumulation;
           Alcotest.test_case "add/snapshot" `Quick test_cost_add_snapshot;
+          QCheck_alcotest.to_alcotest prop_total3_bit_identical;
         ] );
       ( "buffer_pool",
         [

@@ -421,14 +421,15 @@ let prop_with_policy_matches_driver =
             go 0 []
           in
           let via_driver =
-            let d = Driver.make (cursor_of (of_script s)) (policy ()) in
+            let d = Driver.make (policy ()) in
+            let c = cursor_of (of_script s) in
             let out = ref [] in
             let rec go n =
               if n > 200 then ()
               else
                 let captured = ref ([], 0) in
                 let p =
-                  Driver.pump d ~budget ~on_rows:(fun b ->
+                  Driver.pump d c ~budget ~on_rows:(fun b ->
                       captured := (b.Scan.rows, b.Scan.steps))
                 in
                 out := !captured :: !out;
@@ -441,6 +442,65 @@ let prop_with_policy_matches_driver =
           in
           via_cursor = via_driver)
         budgets)
+
+(* A retrieval quantum is one tactic step whose outcome the cursor
+   settles itself through [Driver.settle].  That must be exactly a
+   budget-0 pump of the same tactic: the same rows, the same
+   (fault, consec) questions put to the policy, the same final
+   progress.  The policy decides by fault index so every decision —
+   retry, absorb, stop — shows up on random scripts. *)
+let prop_settle_matches_budget_zero_pump =
+  QCheck.Test.make ~name:"settling step by step = budget-0 pump" ~count:(qcount 200)
+    script_arb
+    (fun s ->
+      let recording calls =
+        {
+          Driver.on_fault =
+            (fun f ~consec ->
+              calls := (f, consec) :: !calls;
+              match f.Fault.index mod 4 with
+              | 0 | 1 -> Driver.Retry
+              | 2 -> Driver.Absorb
+              | _ -> Driver.Stop);
+        }
+      in
+      let stepped =
+        let calls = ref [] in
+        let d = Driver.make (recording calls) in
+        let tac = of_script s in
+        let rec go n rows =
+          let st = tac () in
+          let rows =
+            match st with Scan.Deliver (rid, r) -> (rid, r) :: rows | _ -> rows
+          in
+          let status =
+            match st with
+            | Scan.Deliver _ | Scan.Continue -> Scan.More
+            | Scan.Done -> Scan.Exhausted
+            | Scan.Failed f -> Scan.Faulted f
+          in
+          match Driver.settle d ~steps:1 status with
+          | Driver.More when n < 200 -> go (n + 1) rows
+          | p -> (List.rev rows, List.rev !calls, p)
+        in
+        go 0 []
+      in
+      let pumped =
+        let calls = ref [] in
+        let d = Driver.make (recording calls) in
+        let c = cursor_of (of_script s) in
+        let rows = ref [] in
+        let rec go n =
+          match
+            Driver.pump d c ~budget:0.0 ~on_rows:(fun b ->
+                rows := List.rev_append b.Scan.rows !rows)
+          with
+          | Driver.More when n < 200 -> go (n + 1)
+          | p -> (List.rev !rows, List.rev !calls, p)
+        in
+        go 0
+      in
+      stepped = pumped)
 
 let () =
   Alcotest.run "rdb_tactic"
@@ -479,5 +539,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_identity_wraps;
           QCheck_alcotest.to_alcotest prop_orelse_keeps_left_rows;
           QCheck_alcotest.to_alcotest prop_with_policy_matches_driver;
+          QCheck_alcotest.to_alcotest prop_settle_matches_budget_zero_pump;
         ] );
     ]
