@@ -116,13 +116,10 @@ type summary = {
 (* Stage-2 machinery shared by background-bearing tactics              *)
 (* ------------------------------------------------------------------ *)
 
-type stage2 = S_final of Final_stage.t | S_tscan of Tscan.t
-
 type fast_first = {
   ff_jscan : Jscan.t;
   mutable ff_active : bool;  (** foreground still running *)
   mutable ff_wasted : int;  (** fetches rejected by the restriction *)
-  mutable ff_stage2 : stage2 option;
 }
 
 type sorted_t = {
@@ -136,22 +133,20 @@ type index_only = {
   io_cand : Scan.candidate;
   io_jscan : Jscan.t;
   mutable io_bgr_active : bool;
-  mutable io_stage2 : stage2 option;
+  mutable io_stage2 : Tactic.t option;
+      (** the final stage over Jscan's sure list, once it wins: the
+          probe of the [preempt] that replaces the Sscan *)
 }
-
-type bg_only = { bg_jscan : Jscan.t; mutable bg_stage2 : stage2 option }
-
-type union_t = { un_scan : Uscan.t; mutable un_stage2 : stage2 option }
 
 type machine =
   | M_tscan of Tscan.t
   | M_sscan of Sscan.t
   | M_fscan of Fscan.t
-  | M_bg_only of bg_only
+  | M_bg_only of Jscan.t
   | M_fast_first of fast_first
   | M_sorted of sorted_t
   | M_index_only of index_only
-  | M_union of union_t
+  | M_union of Uscan.t
   | M_empty
 
 type cursor = {
@@ -189,10 +184,13 @@ type cursor = {
           wrapping [tac]: the Tscan fallback and the final stage skip
           them, and the foreground buffer caps count them *)
   mutable driver : Driver.t option;
-      (** the shared driver settling each step's outcome through the
-          fault policy; installed at the first step (the policy closes
-          over this record).  Consecutive-fault counting lives in the
-          driver *)
+      (** the shared driver settling step outcomes through the fault
+          policy; installed at the first settled step (the policy
+          closes over this record).  Consecutive-fault counting lives
+          in the driver *)
+  mutable last_failed : bool;
+      (** the last step was [Failed]: the next one settles through the
+          driver, whose fault count only a failure leaves positive *)
   mutable pending_bg : (Fault.failure -> unit) option;
       (** quarantine action for a fault surfaced by a background
           competitor this quantum; [None] means the fault is the
@@ -295,13 +293,13 @@ let build_machine cursor_cfg table trace restriction
         Jscan.create table bgr_meter cursor_cfg.jscan trace
           ~candidates:classified.Initial_stage.jscan_candidates
       in
-      M_bg_only { bg_jscan = jscan; bg_stage2 = None }
+      M_bg_only jscan
   | Fast_first_tactic ->
       let jscan =
         Jscan.create table bgr_meter cursor_cfg.jscan trace
           ~candidates:classified.Initial_stage.jscan_candidates
       in
-      M_fast_first { ff_jscan = jscan; ff_active = true; ff_wasted = 0; ff_stage2 = None }
+      M_fast_first { ff_jscan = jscan; ff_active = true; ff_wasted = 0 }
   | Sorted_tactic -> (
       match classified.Initial_stage.order_index with
       | None -> invalid_arg "sorted tactic without order index"
@@ -339,11 +337,9 @@ let build_machine cursor_cfg table trace restriction
           memory_budget = cursor_cfg.jscan.Jscan.memory_budget;
         }
       in
-      let us =
-        Uscan.create table bgr_meter cfg trace
-          ~disjuncts:classified.Initial_stage.union_candidates
-      in
-      M_union { un_scan = us; un_stage2 = None }
+      M_union
+        (Uscan.create table bgr_meter cfg trace
+           ~disjuncts:classified.Initial_stage.union_candidates)
   | Index_only_tactic ->
       let cand = sscan_candidate_of classified table in
       let others =
@@ -365,12 +361,12 @@ let build_machine cursor_cfg table trace restriction
 (* Stepping                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let step_stage2 = function S_final f -> Final_stage.step f | S_tscan t -> Tscan.step t
-
-(* The final stage skips delivered RIDs before fetching them — the
+(* The stage a settled background outcome leads to, as a step tactic.
+   The final stage skips delivered RIDs before fetching them — the
    skip saves a charged fetch; a Tscan stage's repeats are dropped by
-   the cursor's [distinct] instead. *)
-let make_stage2 c outcome =
+   the cursor's [distinct] instead.  The final stage's page-handle
+   cache is only sound within one step, so its step drops it. *)
+let stage2_step c outcome : Tactic.t =
   match outcome with
   | Jscan.Rid_list rids ->
       Trace.emit c.trace
@@ -379,10 +375,17 @@ let make_stage2 c outcome =
              rids = Array.length rids;
              filtered_delivered = Rid_set.cardinal c.delivered_rids;
            });
-      S_final
-        (Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
-           ~exclude:(Rid_set.mem c.delivered_rids))
-  | Jscan.Recommend_tscan _ -> S_tscan (Tscan.create c.table c.bgr_meter c.restriction)
+      let fs =
+        Final_stage.create c.table c.bgr_meter ~rids ~restriction:c.restriction
+          ~exclude:(Rid_set.mem c.delivered_rids)
+      in
+      fun () ->
+        let s = Final_stage.step fs in
+        Final_stage.drop_cache fs;
+        s
+  | Jscan.Recommend_tscan _ ->
+      let t = Tscan.create c.table c.bgr_meter c.restriction in
+      fun () -> Tscan.step t
 
 let fgr_cost c = Cost.total c.fgr_meter
 let bgr_cost c = Cost.total c.bgr_meter
@@ -400,12 +403,13 @@ let bg_failed c quarantine f =
 (* Successor thunk for [Tactic.then_]: build the final stage from the
    settled background outcome (the [Final_stage] trace event fires
    here, in the switch quantum, exactly as the bespoke machines
-   emitted it) and step it from then on.  [store] parks the stage on
-   the machine record so the per-step cache drop can reach it. *)
-let stage2_successor c ~store outcome =
-  let s2 = make_stage2 c outcome in
-  store s2;
-  fun () -> step_stage2 s2
+   emitted it).  The settled phase then leaves the tactic: from the
+   next quantum on the cursor steps [distinct] over the stage itself,
+   as [then_] would have, without passing through it. *)
+let stage2_successor c outcome =
+  let step2 = stage2_step c outcome in
+  c.tac <- Tactic.distinct c.delivered_rids step2;
+  step2
 
 (* One quantum of the fast-first foreground phase.  The background
    Jscan is always advanced first (it is also the RID source); the
@@ -482,7 +486,9 @@ let sorted_bg c so =
       Scan.Continue
 
 let sorted_fg c so =
-  match Fscan.step so.so_fscan with
+  let s = Fscan.step so.so_fscan in
+  Fscan.drop_cache so.so_fscan;
+  match s with
   | Scan.Done ->
       if so.so_bgr_active then begin
         so.so_bgr_active <- false;
@@ -515,7 +521,7 @@ let index_only_bg c io =
         Trace.emit c.trace
           (Trace.Foreground_stopped
              { reason = "Jscan delivered a small sure list; Sscan abandoned" });
-        io.io_stage2 <- Some (make_stage2 c (Jscan.Rid_list rids))
+        io.io_stage2 <- Some (stage2_step c (Jscan.Rid_list rids))
       end;
       Scan.Continue
 
@@ -544,48 +550,44 @@ let index_only_fg c io =
    index-only's sure list replacing the Sscan) belong to the
    combinators — no bespoke multi-phase step dispatch remains.  One
    [distinct] over the whole composition is the cursor's delivered-RID
-   set.  Rebuilt whenever the machine is swapped (Tscan fallback). *)
+   set.  Rebuilt whenever the machine is swapped (Tscan fallback), and
+   narrowed to the stage-2 step once a [then_] phase settles.  A stage
+   holding a page-handle cache drops it at the end of its own step. *)
 let tactic_of c =
   Tactic.distinct c.delivered_rids
     (match c.machine with
     | M_empty -> Tactic.halt
     | M_tscan t -> fun () -> Tscan.step t
     | M_sscan s -> fun () -> Sscan.step s
-    | M_fscan f -> fun () -> Fscan.step f
-    | M_bg_only bg ->
+    | M_fscan f ->
+        fun () ->
+          let s = Fscan.step f in
+          Fscan.drop_cache f;
+          s
+    | M_bg_only jscan ->
         Tactic.then_
           (fun () ->
-            match Jscan.step bg.bg_jscan with
+            match Jscan.step jscan with
             | `Working -> Scan.Continue
-            | `Faulted f -> bg_failed c (Jscan.quarantine bg.bg_jscan) f
+            | `Faulted f -> bg_failed c (Jscan.quarantine jscan) f
+            | `Finished _ -> Scan.Done)
+          (fun () -> stage2_successor c (Option.get (Jscan.outcome jscan)))
+    | M_union us ->
+        Tactic.then_
+          (fun () ->
+            match Uscan.step us with
+            | `Working -> Scan.Continue
+            | `Faulted f -> bg_failed c (Uscan.abandon us) f
             | `Finished _ -> Scan.Done)
           (fun () ->
             stage2_successor c
-              ~store:(fun s2 -> bg.bg_stage2 <- Some s2)
-              (Option.get (Jscan.outcome bg.bg_jscan)))
-    | M_union un ->
-        Tactic.then_
-          (fun () ->
-            match Uscan.step un.un_scan with
-            | `Working -> Scan.Continue
-            | `Faulted f -> bg_failed c (Uscan.abandon un.un_scan) f
-            | `Finished _ -> Scan.Done)
-          (fun () ->
-            let as_jscan =
-              match Option.get (Uscan.outcome un.un_scan) with
+              (match Option.get (Uscan.outcome us) with
               | Uscan.Rid_list rids -> Jscan.Rid_list rids
-              | Uscan.Recommend_tscan r -> Jscan.Recommend_tscan r
-            in
-            stage2_successor c
-              ~store:(fun s2 -> un.un_stage2 <- Some s2)
-              as_jscan)
+              | Uscan.Recommend_tscan r -> Jscan.Recommend_tscan r))
     | M_fast_first ff ->
         Tactic.then_
           (fun () -> fast_first_phase1 c ff)
-          (fun () ->
-            stage2_successor c
-              ~store:(fun s2 -> ff.ff_stage2 <- Some s2)
-              (Option.get (Jscan.outcome ff.ff_jscan)))
+          (fun () -> stage2_successor c (Option.get (Jscan.outcome ff.ff_jscan)))
     | M_sorted so ->
         Tactic.race
           ~choose:(fun () ->
@@ -594,7 +596,7 @@ let tactic_of c =
           ~right:(fun () -> sorted_bg c so)
     | M_index_only io ->
         Tactic.preempt
-          (fun () -> Option.map (fun s2 () -> step_stage2 s2) io.io_stage2)
+          (fun () -> io.io_stage2)
           (Tactic.race
              ~choose:(fun () ->
                if io.io_bgr_active && not (prefer_fgr c) then `Right else `Left)
@@ -732,6 +734,7 @@ let open_ ?(config = default_config) table (req : request) =
       feedback_pending;
       delivered_rids = Rid_set.create ();
       driver = None;
+      last_failed = false;
       pending_bg = None;
       aborted = None;
       deadline_hit = None;
@@ -865,19 +868,6 @@ let policy_description tactic =
        ~retry:(Printf.sprintf "retry(%d)" retry_limit)
        ~quarantine:"quarantine" ~abort_heap:"abort-heap" ~fallback:"tscan-fallback")
 
-(* Page-handle caches are only sound within one step; the cursor
-   invalidates whichever its current shape holds after every step. *)
-let drop_machine_caches c =
-  match c.machine with
-  | M_fscan f -> Fscan.drop_cache f
-  | M_sorted so -> Fscan.drop_cache so.so_fscan
-  | M_bg_only { bg_stage2 = Some (S_final fs); _ }
-  | M_union { un_stage2 = Some (S_final fs); _ }
-  | M_fast_first { ff_stage2 = Some (S_final fs); _ }
-  | M_index_only { io_stage2 = Some (S_final fs); _ } ->
-      Final_stage.drop_cache fs
-  | _ -> ()
-
 let driver_of c =
   match c.driver with
   | Some d -> d
@@ -886,6 +876,8 @@ let driver_of c =
       c.driver <- Some d;
       d
 
+let settle c status = ignore (Driver.settle (driver_of c) ~steps:1 status : Driver.progress)
+
 (* One quantum of raw progress: one step of the composed tactic — the
    unit the multi-query session scheduler interleaves by — with its
    outcome settled through the driver's fault policy.  The step comes
@@ -893,23 +885,33 @@ let driver_of c =
    (retried, absorbed, or stopped — only the abort-heap rung stops, and
    it aborts the cursor, which the next quantum sees) and counts as a
    quantum of work without a row.  A delivered row is already recorded
-   by the cursor's [distinct], so a fallback never redelivers it. *)
+   by the cursor's [distinct], so a fallback never redelivers it.
+
+   Only the steps whose settle can change something go through the
+   driver: a [Failed] one, the step right after it, and [Done].  Any
+   other step finds the consecutive-fault count at 0 — only a [Retry]
+   leaves it positive, and the step after a failure resets it — so
+   settling it would change nothing. *)
 let quantum_raw c =
   if c.aborted <> None then Scan.Done
   else begin
     (* [pending_bg] is only ever set on a path that returns [Failed]:
        clearing it per step blames each fault on the side that raised
        it. *)
-    c.pending_bg <- None;
+    (match c.pending_bg with Some _ -> c.pending_bg <- None | None -> ());
     let s = c.tac () in
-    drop_machine_caches c;
-    let status =
-      match s with
-      | Scan.Deliver _ | Scan.Continue -> Scan.More
-      | Scan.Done -> Scan.Exhausted
-      | Scan.Failed f -> Scan.Faulted f
-    in
-    ignore (Driver.settle (driver_of c) ~steps:1 status : Driver.progress);
+    (match s with
+    | Scan.Deliver _ | Scan.Continue ->
+        if c.last_failed then begin
+          c.last_failed <- false;
+          settle c Scan.More
+        end
+    | Scan.Done ->
+        c.last_failed <- false;
+        settle c Scan.Exhausted
+    | Scan.Failed f ->
+        c.last_failed <- true;
+        settle c (Scan.Faulted f));
     s
   end
 
@@ -974,13 +976,18 @@ let rec fetch_pair c =
   | Scan.Continue | Scan.Failed _ -> fetch_pair c
   | Scan.Done -> None
 
-let fetch c = Option.map snd (fetch_pair c)
+let rec fetch c =
+  match step c with
+  | Scan.Deliver (_, row) -> Some row
+  | Scan.Continue | Scan.Failed _ -> fetch c
+  | Scan.Done -> None
 
 let drain_pairs c =
   let rec loop acc =
-    match fetch_pair c with
-    | Some p -> loop (p :: acc)
-    | None -> List.rev acc
+    match step c with
+    | Scan.Deliver (rid, row) -> loop ((rid, row) :: acc)
+    | Scan.Continue | Scan.Failed _ -> loop acc
+    | Scan.Done -> List.rev acc
   in
   loop []
 

@@ -95,7 +95,7 @@ let const_of = function
   | Const v -> v
   | Param p -> raise (Unbound_param p)
 
-let holds op c =
+let[@inline] holds op c =
   match op with
   | Eq -> c = 0
   | Ne -> c <> 0
@@ -105,9 +105,9 @@ let holds op c =
   | Ge -> c >= 0
 
 let cmp_tri op (a : Value.t) (b : Value.t) =
-  if Value.is_null a || Value.is_null b then U
-  else if holds op (Value.compare a b) then T
-  else F
+  match (a, b) with
+  | Value.Null, _ | _, Value.Null -> U
+  | _ -> if holds op (Value.compare a b) then T else F
 
 (* SQL LIKE with % (any run) and _ (any single char). *)
 let like_match pattern s =
@@ -132,6 +132,11 @@ let like_match pattern s =
   in
   go 0 0
 
+let like_tri pattern = function
+  | Value.Null -> U
+  | Value.Str s -> if like_match pattern s then T else F
+  | v -> if like_match pattern (Value.to_string v) then T else F
+
 let rec eval_tri t schema row =
   match t with
   | True -> T
@@ -151,11 +156,7 @@ let rec eval_tri t schema row =
   | Is_null col -> if Value.is_null (Row.get row (Schema.index_of schema col)) then T else F
   | Is_not_null col ->
       if Value.is_null (Row.get row (Schema.index_of schema col)) then F else T
-  | Like (col, pattern) -> (
-      match Row.get row (Schema.index_of schema col) with
-      | Value.Null -> U
-      | Value.Str s -> if like_match pattern s then T else F
-      | v -> if like_match pattern (Value.to_string v) then T else F)
+  | Like (col, pattern) -> like_tri pattern (Row.get row (Schema.index_of schema col))
   | And ts -> List.fold_left (fun acc x -> tri_and acc (eval_tri x schema row)) T ts
   | Or ts -> List.fold_left (fun acc x -> tri_or acc (eval_tri x schema row)) F ts
   | Not x -> tri_not (eval_tri x schema row)
@@ -166,51 +167,85 @@ let eval_maybe t schema row = eval_tri t schema row <> F
 
 (* --- compiled restrictions ---------------------------------------------
    [compile] resolves every column to its position and every operand to
-   its constant once; [tri_of] evaluates the tree it builds directly over
-   a value array.  The one read is bounds-checked: a position outside
-   the array reads as NULL.  Only a key-compiled tree holds one (-1, a
-   column outside the key), and NULL is what [Scan.synthetic_row] puts
-   there; a row-compiled tree's positions are all inside the row. *)
+   its constant once, and builds one closure per node of the
+   restriction: a leaf reads its field and compares it, [And], [Or] and
+   [Not] combine the closures of their operands.  A field read is
+   bounds-checked: a position outside the array reads as NULL.  Only a
+   key-compiled restriction holds one (-1, a column outside the key),
+   and NULL is what [Scan.synthetic_row] puts there; a row-compiled
+   one's positions are all inside the row. *)
 
-type node =
-  | C_const of tri  (** [True], [False], and comparisons with a NULL constant *)
-  | C_cmp of int * comparison * Value.t
-  | C_cmp_col of int * comparison * int
-  | C_between of int * Value.t * Value.t
-  | C_in of int * Value.t array
-  | C_is_null of int
-  | C_is_not_null of int
-  | C_like of int * string
-  | C_and of node array
-  | C_or of node array
-  | C_not of node
+type compiled = Value.t array -> tri
+type compiled_key = Value.t array -> tri
 
-type compiled = node
-type compiled_key = node
+let[@inline] field (src : Value.t array) pos =
+  if pos < 0 || pos >= Array.length src then Value.Null else Array.unsafe_get src pos
+
+(* The folds of [eval_tri], stopping once the result is settled: a leaf
+   has no effect besides its value, so skipping the rest changes
+   nothing. *)
+let rec and_from fs src i acc =
+  if i >= Array.length fs || acc = F then acc
+  else and_from fs src (i + 1) (tri_and acc (Array.unsafe_get fs i src))
+
+let rec or_from fs src i acc =
+  if i >= Array.length fs || acc = T then acc
+  else or_from fs src (i + 1) (tri_or acc (Array.unsafe_get fs i src))
+
+let rec in_from v vs i acc =
+  if i >= Array.length vs || acc = T then acc
+  else in_from v vs (i + 1) (tri_or acc (cmp_tri Eq v (Array.unsafe_get vs i)))
 
 let compile_with resolve t =
   let rec go = function
-    | True -> C_const T
-    | False -> C_const F
+    | True -> fun _ -> T
+    | False -> fun _ -> F
     | Cmp (c, op, o) -> (
         let pos = resolve c in
-        match const_of o with Value.Null -> C_const U | v -> C_cmp (pos, op, v))
+        match const_of o with
+        | Value.Null -> fun _ -> U
+        | Value.Int k as kv -> (
+            (* An Int field against an Int constant compares as ints,
+               as [Value.compare] would; any other value takes the
+               general [cmp_tri]. *)
+            fun src ->
+              match field src pos with
+              | Value.Int x -> if holds op (compare (x : int) k) then T else F
+              | v -> cmp_tri op v kv)
+        | v -> fun src -> cmp_tri op (field src pos) v)
     | Cmp_col (a, op, b) ->
         let pa = resolve a in
-        C_cmp_col (pa, op, resolve b)
+        let pb = resolve b in
+        fun src -> cmp_tri op (field src pa) (field src pb)
     | Between (c, lo, hi) ->
         let pos = resolve c in
         let lo = const_of lo in
-        C_between (pos, lo, const_of hi)
+        let hi = const_of hi in
+        fun src ->
+          let v = field src pos in
+          tri_and (cmp_tri Ge v lo) (cmp_tri Le v hi)
     | In_list (c, os) ->
         let pos = resolve c in
-        C_in (pos, Array.of_list (List.map const_of os))
-    | Is_null c -> C_is_null (resolve c)
-    | Is_not_null c -> C_is_not_null (resolve c)
-    | Like (c, p) -> C_like (resolve c, p)
-    | And ts -> C_and (Array.of_list (List.map go ts))
-    | Or ts -> C_or (Array.of_list (List.map go ts))
-    | Not x -> C_not (go x)
+        let vs = Array.of_list (List.map const_of os) in
+        fun src -> in_from (field src pos) vs 0 F
+    | Is_null c ->
+        let pos = resolve c in
+        fun src -> (match field src pos with Value.Null -> T | _ -> F)
+    | Is_not_null c ->
+        let pos = resolve c in
+        fun src -> (match field src pos with Value.Null -> F | _ -> T)
+    | Like (c, p) ->
+        let pos = resolve c in
+        fun src -> like_tri p (field src pos)
+    | And ts ->
+        let fs = Array.of_list (List.map go ts) in
+        fun src -> and_from fs src 0 T
+    | Or ts ->
+        let fs = Array.of_list (List.map go ts) in
+        fun src -> or_from fs src 0 F
+    | Not x ->
+        let f = go x in
+        fun src -> tri_not (f src)
   in
   go t
 
@@ -231,47 +266,10 @@ let compile_key t schema ~key_ids =
       !at)
     t
 
-let field (src : Value.t array) pos =
-  if pos < 0 || pos >= Array.length src then Value.Null else Array.unsafe_get src pos
-
-let rec tri_of src = function
-  | C_const t -> t
-  | C_cmp (pos, op, v) -> cmp_tri op (field src pos) v
-  | C_cmp_col (a, op, b) -> cmp_tri op (field src a) (field src b)
-  | C_between (pos, lo, hi) ->
-      let v = field src pos in
-      tri_and (cmp_tri Ge v lo) (cmp_tri Le v hi)
-  | C_in (pos, vs) -> in_from (field src pos) vs 0 F
-  | C_is_null pos -> if Value.is_null (field src pos) then T else F
-  | C_is_not_null pos -> if Value.is_null (field src pos) then F else T
-  | C_like (pos, pattern) -> (
-      match field src pos with
-      | Value.Null -> U
-      | Value.Str s -> if like_match pattern s then T else F
-      | v -> if like_match pattern (Value.to_string v) then T else F)
-  | C_and ts -> and_from src ts 0 T
-  | C_or ts -> or_from src ts 0 F
-  | C_not x -> tri_not (tri_of src x)
-
-(* The folds of [eval_tri], stopping once the result is settled: a leaf
-   has no effect besides its value, so skipping the rest changes
-   nothing. *)
-and and_from src ts i acc =
-  if i >= Array.length ts || acc = F then acc
-  else and_from src ts (i + 1) (tri_and acc (tri_of src ts.(i)))
-
-and or_from src ts i acc =
-  if i >= Array.length ts || acc = T then acc
-  else or_from src ts (i + 1) (tri_or acc (tri_of src ts.(i)))
-
-and in_from v vs i acc =
-  if i >= Array.length vs || acc = T then acc
-  else in_from v vs (i + 1) (tri_or acc (cmp_tri Eq v vs.(i)))
-
-let test c row = tri_of row c = T
-let test_maybe c row = tri_of row c <> F
-let test_key c key = tri_of key c = T
-let test_key_maybe c key = tri_of key c <> F
+let test (c : compiled) row = c row = T
+let test_maybe (c : compiled) row = c row <> F
+let test_key (c : compiled_key) key = c key = T
+let test_key_maybe (c : compiled_key) key = c key <> F
 
 let rec simplify t =
   match t with

@@ -68,10 +68,12 @@ val eval_maybe : t -> Schema.t -> Row.t -> bool
 
     A restriction with its columns resolved to positions and its
     operands to constants, once, for a cursor that tests it on every
-    row.  One three-valued evaluator walks the compiled tree directly
-    over a value array, reading each field with one bounds-checked
-    read: a position outside the array reads as NULL.  The two
-    compiled types differ only in what their positions index:
+    row.  Compiling builds one three-valued closure per node of the
+    restriction, applied directly to a value array; each leaf reads its
+    field with one bounds-checked read (a position outside the array
+    reads as NULL), and a comparison of an Int field with an Int
+    constant compares ints.  The two compiled types differ only in
+    what their positions index:
     - a {!compiled} restriction indexes a row of the schema ({!test}) —
       a heap's stored row is tested where it lies;
     - a {!compiled_key} restriction indexes an index key

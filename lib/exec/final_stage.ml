@@ -10,7 +10,7 @@ type t = {
   exclude : Rid.t -> bool;
   cache : Heap_file.fetch_cache;
       (** sorted RIDs revisit pages back to back; valid for one
-          quantum — the retrieval driving it drops it after every step *)
+          quantum — the retrieval's stage-2 step drops it at its end *)
   mutable pos : int;
   mutable skipped : int;
 }

@@ -25,7 +25,8 @@ val create :
 val step : t -> Scan.step
 
 val drop_cache : t -> unit
-(** Invalidate the page-handle fetch cache.  The driving cursor calls
-    this on every batch boundary. *)
+(** Invalidate the page-handle fetch cache.  A retrieval's stage-2
+    step calls this at the end of every step, when control leaves its
+    quantum. *)
 
 val skipped_delivered : t -> int

@@ -14,7 +14,9 @@ type t = {
   cursor : Btree.multi_cursor;
   cache : Heap_file.fetch_cache;
       (** page-handle cache for the record fetches; valid for one
-          batch quantum — the cursor's [on_yield] invalidates it *)
+          batch quantum — the cursor's [on_yield] invalidates it, and
+          a retrieval stepping the scan drops it at the end of each
+          step *)
   mutable filter : Filter.t option;
   mutable pending : (Btree.key * Rdb_data.Rid.t) option;
       (** entry pulled from the cursor whose quantum has not completed:

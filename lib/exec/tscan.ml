@@ -22,19 +22,18 @@ let create table meter restriction =
 let step t =
   if t.finished then Scan.Done
   else begin
-    (* [Heap_file.advance] loads pages before advancing its cursor, so
+    (* [Heap_file.next_row] loads pages before advancing its cursor, so
        a faulted quantum leaves the scan where it was: stepping again
        retries the same page. *)
-    match Heap_file.advance t.cursor with
+    match Heap_file.next_row t.cursor with
     | exception Fault.Injected f -> Scan.Failed f
-    | false ->
+    | row when row == Heap_file.end_of_scan ->
         t.finished <- true;
         Scan.Done
-    | true ->
+    | row ->
         t.examined <- t.examined + 1;
         Cost.charge_cpu t.meter 1;
         (* Test the stored row where it lies and deliver it as is. *)
-        let row = Heap_file.current t.cursor in
         if Predicate.test t.restriction row then Scan.Deliver (Heap_file.rid t.cursor, row)
         else Scan.Continue
   end

@@ -180,15 +180,22 @@ let record_shard t name =
     | Some m -> Metrics.incr (Metrics.counter m name)
 
 (* Fault injectors raise; count the fault against the faulted file
-   before letting the failure propagate to the degradation policies. *)
-let inject t f block =
+   before letting the failure propagate to the degradation policies.
+   Callers look the injector up first, so an access without one builds
+   no closure. *)
+let inject t block f =
+  try f () with
+  | Fault.Injected _ as e ->
+      record t "fault" block.file;
+      raise e
+
+let inject_read t block ~hit =
   match t.injector with
   | None -> ()
-  | Some inj -> (
-      try f inj with
-      | Fault.Injected _ as e ->
-          record t "fault" block.file;
-          raise e)
+  | Some inj ->
+      inject t block (fun () ->
+          Fault.on_read inj ~cls:(file_class t block.file) ~file:block.file
+            ~index:block.index ~hit)
 
 let unlink sh n =
   (match n.prev with Some p -> p.next <- n.next | None -> sh.sh_head <- n.next);
@@ -232,20 +239,18 @@ let hit_charges t sh meter block =
   Cost.charge_logical t.global;
   record t "hit" block.file;
   record_shard t sh.sh_metrics.m_hit;
-  inject t
-    (fun inj ->
-      Fault.on_read inj ~cls:(file_class t block.file) ~file:block.file
-        ~index:block.index ~hit:true)
-    block
+  inject_read t block ~hit:true
 
-let touch_read_h t meter block =
-  let sh = shard_of t block in
+(* One charged read access: the probe, then the hit or the miss path.
+   Either way the block's node ends at the head of its shard's LRU
+   list, which is where [touch_read_h] takes its handle from. *)
+let read_access t sh meter block =
   match probe t sh block with
   | Some n ->
       unlink sh n;
       push_front sh n;
       hit_charges t sh meter block;
-      (`Hit, { h_node = n; h_shard = sh; h_stamp = sh.sh_stamp })
+      `Hit
   | None ->
       (* The I/O attempt is charged whether or not it succeeds; on a
          fault the block does *not* become resident (the read failed,
@@ -254,15 +259,19 @@ let touch_read_h t meter block =
       Cost.charge_physical t.global;
       record t "miss" block.file;
       record_shard t sh.sh_metrics.m_miss;
-      inject t
-        (fun inj ->
-          Fault.on_read inj ~cls:(file_class t block.file) ~file:block.file
-            ~index:block.index ~hit:false)
-        block;
-      let n = make_resident t sh block in
-      (`Miss, { h_node = n; h_shard = sh; h_stamp = sh.sh_stamp })
+      inject_read t block ~hit:false;
+      ignore (make_resident t sh block : node);
+      `Miss
 
-let touch_read t meter block = fst (touch_read_h t meter block)
+let touch_read t meter block = read_access t (shard_of t block) meter block
+
+let touch_read_h t meter block =
+  let sh = shard_of t block in
+  let kind = read_access t sh meter block in
+  match sh.sh_head with
+  | Some n -> (kind, { h_node = n; h_shard = sh; h_stamp = sh.sh_stamp })
+  | None -> assert false (* [read_access] just put the block's node there *)
+
 let touch t meter block = ignore (touch_read t meter block)
 
 let retouch t meter h =
@@ -284,11 +293,12 @@ let write t meter block =
   Cost.charge_write t.global;
   record t "write" block.file;
   record_shard t sh.sh_metrics.m_write;
-  inject t
-    (fun inj ->
-      Fault.on_write inj ~cls:(file_class t block.file) ~file:block.file
-        ~index:block.index)
-    block;
+  (match t.injector with
+  | None -> ()
+  | Some inj ->
+      inject t block (fun () ->
+          Fault.on_write inj ~cls:(file_class t block.file) ~file:block.file
+            ~index:block.index));
   match probe t sh block with
   | Some n ->
       unlink sh n;

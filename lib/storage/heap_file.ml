@@ -1,8 +1,11 @@
 open Rdb_data
 module Dynarray = Rdb_util.Dynarray
 
+(* A page's slots live in [slots.(0 .. used - 1)], grown by doubling as
+   [Dynarray.push] grows; the scan reads them without a call. *)
 type page = {
-  slots : Row.t option Dynarray.t; (* None = tombstone *)
+  mutable slots : Row.t option array; (* None = tombstone *)
+  mutable used : int;
   mutable bytes_used : int;
   (* Lazily-maintained content checksum: mutations invalidate, the
      next cold read under a fault injector recomputes (dirty page) or
@@ -60,14 +63,20 @@ let insert t row =
     | Some p when p.bytes_used + size <= t.page_bytes -> (p, Dynarray.length t.pages - 1)
     | _ ->
         let p =
-          { slots = Dynarray.create (); bytes_used = 0;
+          { slots = [||]; used = 0; bytes_used = 0;
             crc = Fault.crc_init; crc_valid = false }
         in
         Dynarray.push t.pages p;
         (p, Dynarray.length t.pages - 1)
   in
-  let slot = Dynarray.length page.slots in
-  Dynarray.push page.slots (Some (Array.copy row));
+  let slot = page.used in
+  if slot = Array.length page.slots then begin
+    let slots = Array.make (Int.max 8 (2 * slot)) None in
+    Array.blit page.slots 0 slots 0 slot;
+    page.slots <- slots
+  end;
+  page.slots.(slot) <- Some (Array.copy row);
+  page.used <- slot + 1;
   page.bytes_used <- page.bytes_used + size;
   page.crc_valid <- false;
   t.live <- t.live + 1;
@@ -83,12 +92,14 @@ let crc_field acc = function
   | Value.Str s -> Fault.crc_bytes (Fault.crc_int acc 3) s
 
 let page_crc page =
-  Dynarray.fold_left
-    (fun acc slot ->
-      match slot with
-      | None -> Fault.crc_int acc 0
-      | Some row -> Array.fold_left crc_field (Fault.crc_int acc (Array.length row)) row)
-    Fault.crc_init page.slots
+  let acc = ref Fault.crc_init in
+  for i = 0 to page.used - 1 do
+    acc :=
+      match page.slots.(i) with
+      | None -> Fault.crc_int !acc 0
+      | Some row -> Array.fold_left crc_field (Fault.crc_int !acc (Array.length row)) row
+  done;
+  !acc
 
 (* Checksum discipline on a cold read: a dirty page (mutated since the
    last check) gets its crc recomputed — the write-side stamp; a clean
@@ -124,9 +135,9 @@ let get_page t meter page_no =
   end
 
 let read_slot page meter (rid : Rid.t) =
-  if rid.slot < 0 || rid.slot >= Dynarray.length page.slots then None
+  if rid.slot < 0 || rid.slot >= page.used then None
   else begin
-    match Dynarray.get page.slots rid.slot with
+    match page.slots.(rid.slot) with
     | None -> None
     | Some _ as row ->
         Cost.charge_cpu meter 1;
@@ -190,12 +201,12 @@ let delete t meter (rid : Rid.t) =
   match get_page t meter rid.page with
   | None -> false
   | Some page ->
-      if rid.slot < 0 || rid.slot >= Dynarray.length page.slots then false
+      if rid.slot < 0 || rid.slot >= page.used then false
       else begin
-        match Dynarray.get page.slots rid.slot with
+        match page.slots.(rid.slot) with
         | None -> false
         | Some row ->
-            Dynarray.set page.slots rid.slot None;
+            page.slots.(rid.slot) <- None;
             page.bytes_used <- page.bytes_used - (record_bytes row + 4);
             page.crc_valid <- false;
             t.live <- t.live - 1;
@@ -207,12 +218,12 @@ let update t meter (rid : Rid.t) row =
   match get_page t meter rid.page with
   | None -> false
   | Some page ->
-      if rid.slot < 0 || rid.slot >= Dynarray.length page.slots then false
+      if rid.slot < 0 || rid.slot >= page.used then false
       else begin
-        match Dynarray.get page.slots rid.slot with
+        match page.slots.(rid.slot) with
         | None -> false
         | Some old ->
-            Dynarray.set page.slots rid.slot (Some (Array.copy row));
+            page.slots.(rid.slot) <- Some (Array.copy row);
             page.bytes_used <- page.bytes_used - record_bytes old + record_bytes row;
             page.crc_valid <- false;
             Buffer_pool.write t.pool meter (block t rid.page);
@@ -225,47 +236,49 @@ type cursor = {
   mutable page_no : int;
   mutable slot : int;  (* next slot to look at *)
   mutable loaded : page option;
-  mutable current : Row.t;  (* the live slot [advance] last stopped on *)
 }
 
-let scan t meter =
-  { heap = t; meter; page_no = -1; slot = 0; loaded = None; current = [||] }
+let scan t meter = { heap = t; meter; page_no = -1; slot = 0; loaded = None }
 
-let rec advance c =
+(* One array of its own, so no stored row (each an [Array.copy]) is
+   ever physically equal to it; [[||]] is a shared atom and would be. *)
+let end_of_scan : Row.t = [| Value.Null |]
+
+let rec next_row c =
   match c.loaded with
   | None ->
       let page_no = c.page_no + 1 in
-      if page_no >= page_count c.heap then false
+      if page_no >= page_count c.heap then end_of_scan
       else begin
         (* Load before advancing the cursor: a faulted read leaves the
-           cursor unchanged, so re-calling [advance] retries this page
-           instead of silently skipping it. *)
+           cursor unchanged, so calling [next_row] again retries this
+           page instead of silently skipping it. *)
         let loaded = get_page c.heap c.meter page_no in
         c.page_no <- page_no;
         c.slot <- 0;
         c.loaded <- loaded;
-        advance c
+        next_row c
       end
   | Some page ->
-      if c.slot >= Dynarray.length page.slots then begin
+      let slot = c.slot in
+      if slot >= page.used then begin
         c.loaded <- None;
-        advance c
+        next_row c
       end
       else begin
-        let slot = c.slot in
         c.slot <- slot + 1;
-        match Dynarray.get page.slots slot with
-        | None -> advance c
+        match Array.unsafe_get page.slots slot with
+        | None -> next_row c
         | Some row ->
             Cost.charge_cpu c.meter 1;
-            c.current <- row;
-            true
+            row
       end
 
-let current c = c.current
-let rid c = Rid.make ~page:c.page_no ~slot:(c.slot - 1)
+let rid c = { Rid.page = c.page_no; slot = c.slot - 1 }
 
-let next c = if advance c then Some (rid c, c.current) else None
+let next c =
+  let row = next_row c in
+  if row == end_of_scan then None else Some (rid c, row)
 
 (* The corrupt-page exit (REPAIR TABLE): probe every page cold and
    rewrite the ones whose checksum verification fails — restamp the
@@ -291,10 +304,10 @@ let rewrite_corrupt_pages t meter =
 let iter t meter f =
   let c = scan t meter in
   let rec loop () =
-    match next c with
-    | None -> ()
-    | Some (rid, row) ->
-        f rid row;
-        loop ()
+    let row = next_row c in
+    if row != end_of_scan then begin
+      f (rid c) row;
+      loop ()
+    end
   in
   loop ()

@@ -83,19 +83,23 @@ val scan : t -> Cost.t -> cursor
 (** Page-at-a-time sequential cursor; each new page charges one
     access. *)
 
-val advance : cursor -> bool
-(** Step to the next live record in physical order, charging one cpu
-    op for it; [false] once the heap is exhausted.  {!current} and
-    {!rid} read where the cursor stopped. *)
+val next_row : cursor -> Row.t
+(** Step to the next live record in physical order and return its
+    stored row, shared with the page, charging one cpu op for it;
+    {!end_of_scan} once the heap is exhausted.  A faulted page load
+    raises and leaves the cursor where it was, so calling [next_row]
+    again retries that page.  {!rid} reads where the cursor stopped. *)
 
-val current : cursor -> Row.t
-(** The current record's stored row, shared with the page. *)
+val end_of_scan : Row.t
+(** What {!next_row} returns once the heap is exhausted; test for it
+    with [==].  It is an array of its own, so no stored row is ever
+    physically equal to it. *)
 
 val rid : cursor -> Rid.t
-(** The current record's RID. *)
+(** The RID of the record {!next_row} last returned. *)
 
 val next : cursor -> (Rid.t * Row.t) option
-(** {!advance}, then the current record's RID and stored row. *)
+(** {!next_row}, paired with its record's RID. *)
 
 val iter : t -> Cost.t -> (Rid.t -> Row.t -> unit) -> unit
 (** Every live record's stored row, in physical order. *)

@@ -363,6 +363,37 @@ let test_deadline_stops_standalone_cursor () =
   check "truncated" true (n < List.length all);
   check "prefix of the full stream" true (rows = List.filteri (fun i _ -> i < n) all)
 
+(* --- a success resets the consecutive-fault count -------------------------- *)
+
+(* A Tscan whose heap reads fail at scheduled accesses.  A retry re-reads
+   the faulted page, so faults at two consecutive accesses are one page
+   failing twice (attempts 1 then 2), while a fault on a later page comes
+   after successful steps, which reset the count (attempt 1 twice). *)
+let test_success_resets_fault_count () =
+  let f = fixture () in
+  let pred = Predicate.("ID" >=% Value.int 0) in
+  let expected = sort_rows (oracle f pred) in
+  let heap = heap_file f in
+  let attempts schedule =
+    Buffer_pool.flush f.pool;
+    let inj =
+      Fault.create
+        (Fault.plan ~fail_at_access:(List.map (fun n -> (heap, n)) schedule) ~seed:1 ())
+    in
+    Buffer_pool.set_injector f.pool (Some inj);
+    let rows, s = R.run f.table (R.request pred) in
+    Buffer_pool.set_injector f.pool None;
+    check "a Tscan" true (s.R.tactic = R.Static_tscan);
+    check "completed" true (s.R.status = R.Completed);
+    check "rows match the oracle" true (sort_rows rows = expected);
+    List.filter_map
+      (function Trace.Fault_retry { attempt; _ } -> Some attempt | _ -> None)
+      s.R.trace
+  in
+  check "a multi-page heap" true (Heap_file.page_count (Table.heap f.table) > 8);
+  Alcotest.(check (list int)) "faults on two pages" [ 1; 1 ] (attempts [ 3; 6 ]);
+  Alcotest.(check (list int)) "a fault on the retry" [ 1; 2 ] (attempts [ 3; 4 ])
+
 (* --- pool invariants under fault/flush interleavings ---------------------- *)
 
 let prop_pool_invariants_under_faults =
@@ -433,6 +464,8 @@ let () =
             test_corrupt_heap_healed_by_repair;
           Alcotest.test_case "deadline stops a standalone cursor" `Quick
             test_deadline_stops_standalone_cursor;
+          Alcotest.test_case "a success resets the fault count" `Quick
+            test_success_resets_fault_count;
         ] );
       ( "pool",
         [ QCheck_alcotest.to_alcotest prop_pool_invariants_under_faults ] );

@@ -390,6 +390,25 @@ let prop_heap_matches_model =
                     Hashtbl.replace model rid v
                   end))
         ops;
+      (* A full scan, through the cursor and through [iter], yields
+         exactly the model's live records in RID order, once each:
+         tombstones are skipped, page boundaries crossed, and the
+         cursor stays at its end. *)
+      let live =
+        List.sort
+          (fun (a, _) (b, _) -> Rid.compare a b)
+          (Hashtbl.fold (fun rid v acc -> (rid, row v) :: acc) model [])
+      in
+      let same got =
+        List.equal (fun (r, x) (r', y) -> Rid.equal r r' && Row.equal x y) got live
+      in
+      let c = Heap_file.scan h m in
+      let rec by_cursor acc =
+        match Heap_file.next c with Some p -> by_cursor (p :: acc) | None -> List.rev acc
+      in
+      let scanned = by_cursor [] in
+      let iterated = ref [] in
+      Heap_file.iter h m (fun rid r -> iterated := (rid, r) :: !iterated);
       Hashtbl.fold
         (fun rid v acc ->
           acc
@@ -398,7 +417,10 @@ let prop_heap_matches_model =
           | Some r -> Row.equal r (row v)
           | None -> false)
         model true
-      && Heap_file.record_count h = Hashtbl.length model)
+      && Heap_file.record_count h = Hashtbl.length model
+      && same scanned
+      && Heap_file.next c = None
+      && same (List.rev !iterated))
 
 (* The heap keeps a copy of each row and hands that same array to every
    reader: the caller's array stays the caller's, and a reader's row
