@@ -65,12 +65,7 @@ let row_key rows =
 let drain_tactic m tac =
   let out = ref [] in
   let d = Driver.make Tactic.Policy.(seal (stack [ retry_transient ])) in
-  (match
-     Driver.drain d
-       (Scan.cursor_of_step ~cost:(fun () -> Cost.total m) tac)
-       ~budget:infinity
-       ~on_rows:(fun b -> List.iter (fun (_, r) -> out := r :: !out) b.Scan.rows)
-   with
+  (match Driver.drain d tac ~on_row:(fun _ r -> out := r :: !out) with
   | Ok () -> ()
   | Error _ -> ());
   (List.rev !out, Cost.total m)

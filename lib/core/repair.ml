@@ -16,10 +16,7 @@ type t = {
   mutable pending : (Rid.t * Row.t) option;
       (* a row read from the heap whose insert faulted: replayed first *)
   mutable entries : int;
-  mutable pump : Scan.cursor option;
-      (* the copy loop under its fault ladder (Tactic.with_policy over
-         the shared driver; installed lazily — it closes over [t]); the
-         embedded driver owns the consecutive-fault count *)
+  driver : Driver.t;  (* the fault ladder and its consecutive-fault count *)
   mutable result : bool option;
 }
 
@@ -29,6 +26,30 @@ let batch = 64
 (* Consecutive transient faults tolerated before the rebuild gives up. *)
 let retry_limit = 8
 
+(* The repair ladder (DESIGN.md §17): the same bounded retry with
+   deterministic backoff as retrieval, then give up — when the ground
+   truth itself is unreadable (or persistently flaky) the rebuild
+   stops and the index goes back to quarantine with an escalated
+   backoff. *)
+let fault_policy trace meter =
+  Tactic.Policy.(
+    seal
+      ~observe:(fun f ~consec:_ ->
+        Trace.emit trace
+          (Trace.Fault_detected { site = "repair"; fault = Fault.describe f }))
+      (stack
+         [
+           bounded_retry ~limit:retry_limit ~penalize:(fun _ ~consec ->
+               (* The i-th consecutive retry charges i physical reads. *)
+               for _ = 1 to consec do
+                 Cost.charge_physical meter
+               done;
+               Trace.emit trace
+                 (Trace.Fault_retry
+                    { site = "repair"; attempt = consec; penalty = consec }));
+           give_up ~name:"give-up";
+         ]))
+
 let create table ~index =
   let idx =
     match Table.find_index table index with
@@ -36,6 +57,7 @@ let create table ~index =
     | None -> invalid_arg ("Repair.create: unknown index " ^ index)
   in
   let meter = Cost.create () in
+  let trace = Trace.create () in
   let new_tree =
     Btree.create ~fanout:(Btree.fanout idx.Table.tree) (Table.pool table)
   in
@@ -57,10 +79,10 @@ let create table ~index =
       key_of = Table.index_key idx;
       meter;
       cursor = Heap_file.scan (Table.heap table) meter;
-      trace = Trace.create ();
+      trace;
       pending = None;
       entries = 0;
-      pump = None;
+      driver = Driver.make (fault_policy trace meter);
       result = None;
     }
   in
@@ -97,11 +119,11 @@ let finish t ok =
     (Trace.Repair_done { index = t.index; entries = t.entries; cost = spent t; ok });
   `Done ok
 
-(* One copy as a cursor step.  The heap cursor retries the same page
+(* One copy as a scan step.  The heap cursor retries the same page
    after a faulted read and (key, rid) inserts are idempotent, so
    transient faults replay the in-flight row instead of dropping or
    duplicating it. *)
-let copy_step t =
+let copy_step t () =
   let insert_row (rid, row) =
     t.pending <- Some (rid, row);
     Btree.insert t.new_tree t.meter (t.key_of row) rid;
@@ -124,53 +146,18 @@ let copy_step t =
   | `Copied_all -> Scan.Done
   | exception Fault.Injected f -> Scan.Failed f
 
-(* The repair ladder (DESIGN.md §17): the same bounded retry with
-   deterministic backoff as retrieval, then give up — when the ground
-   truth itself is unreadable (or persistently flaky) the rebuild
-   stops and the index goes back to quarantine with an escalated
-   backoff. *)
-let fault_policy t =
-  Tactic.Policy.(
-    seal
-      ~observe:(fun f ~consec:_ ->
-        Trace.emit t.trace
-          (Trace.Fault_detected { site = "repair"; fault = Fault.describe f }))
-      (stack
-         [
-           bounded_retry ~limit:retry_limit ~penalize:(fun _ ~consec ->
-               (* The i-th consecutive retry charges i physical reads. *)
-               for _ = 1 to consec do
-                 Cost.charge_physical t.meter
-               done;
-               Trace.emit t.trace
-                 (Trace.Fault_retry
-                    { site = "repair"; attempt = consec; penalty = consec }));
-           give_up ~name:"give-up";
-         ]))
-
-let pump_of t =
-  match t.pump with
-  | Some c -> c
-  | None ->
-      let c =
-        Tactic.with_policy (fault_policy t)
-          (Scan.cursor_of_step
-             ~cost:(fun () -> Cost.total t.meter)
-             ~max_steps:batch
-             (fun () -> copy_step t))
-      in
-      t.pump <- Some c;
-      c
-
-(* One scheduler quantum: one driver batch of up to [batch] copies. *)
+(* One scheduler quantum: one driver pump of up to [batch] copies,
+   which a fault ends early once the ladder has settled it. *)
 let step t =
   match t.result with
   | Some ok -> `Done ok
   | None -> (
-      match ((pump_of t).Scan.next_batch ~budget:infinity).Scan.status with
-      | Scan.More -> `Working
-      | Scan.Exhausted -> finish t true
-      | Scan.Faulted _ -> finish t false)
+      match
+        Driver.pump t.driver ~max_steps:batch (copy_step t) ~on_row:(fun _ _ -> ())
+      with
+      | Driver.More -> `Working
+      | Driver.Exhausted -> finish t true
+      | Driver.Stopped _ -> finish t false)
 
 let grant t ~budget ~max_steps =
   let res = ref None in

@@ -8,9 +8,10 @@
     quanta like any other session.
 
     Lifecycle: {!create} moves the index to [Rebuilding] (it disappears
-    from planning); each step of a {!grant} copies a batch of 64 rows
-    into a fresh tree, retrying up to 8 consecutive transient heap
-    faults with the same deterministic backoff as retrieval; on
+    from planning); each step of a {!grant} copies up to 64 rows into
+    a fresh tree through one {!Rdb_exec.Driver.pump}, retrying up to 8
+    consecutive transient heap faults with the same deterministic
+    backoff as retrieval (a retried fault ends its step early); on
     success the new tree is atomically swapped in
     ({!Rdb_engine.Table.replace_index} — pool label moved, stale blocks
     evicted, cached estimation state reseeded) and the index returns
@@ -26,10 +27,10 @@ val create : Rdb_engine.Table.t -> index:string -> t
     index name. *)
 
 val grant : t -> budget:float -> max_steps:int -> bool option
-(** One scheduler grant: copy a batch per step until [budget] worth of
-    cost has been charged since entry, [max_steps] steps ran, or the
-    rebuild finished (all checked before each step).  [Some ok] iff it
-    finished during the grant.  This is
+(** One scheduler grant: copy up to 64 rows per step until [budget]
+    worth of cost has been charged since entry, [max_steps] steps ran,
+    or the rebuild finished (all checked before each step).  [Some ok]
+    iff it finished during the grant.  This is
     {!Rdb_exec.Driver.clocked_loop} over the copy step — the same
     grant loop the session scheduler uses for queries. *)
 

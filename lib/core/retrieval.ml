@@ -876,7 +876,7 @@ let driver_of c =
       c.driver <- Some d;
       d
 
-let settle c status = ignore (Driver.settle (driver_of c) ~steps:1 status : Driver.progress)
+let settle c s = ignore (Driver.settle (driver_of c) s : Driver.progress)
 
 (* One quantum of raw progress: one step of the composed tactic — the
    unit the multi-query session scheduler interleaves by — with its
@@ -904,14 +904,14 @@ let quantum_raw c =
     | Scan.Deliver _ | Scan.Continue ->
         if c.last_failed then begin
           c.last_failed <- false;
-          settle c Scan.More
+          settle c s
         end
     | Scan.Done ->
         c.last_failed <- false;
-        settle c Scan.Exhausted
-    | Scan.Failed f ->
+        settle c s
+    | Scan.Failed _ ->
         c.last_failed <- true;
-        settle c (Scan.Faulted f));
+        settle c s);
     s
   end
 

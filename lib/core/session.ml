@@ -10,7 +10,6 @@ type crash_point = Crash_at_grant of int | Crash_at_cost of float
 type config = {
   max_inflight : int;
   quantum : float;
-  max_steps_per_quantum : int;
   max_queue : int;
   shed_policy : shed_policy;
   pressure_threshold : int;
@@ -25,7 +24,6 @@ let default_config =
   {
     max_inflight = 4;
     quantum = 50.0;
-    max_steps_per_quantum = 4096;
     max_queue = max_int;
     shed_policy = Shed_newest;
     pressure_threshold = max_int;
@@ -37,6 +35,7 @@ let default_config =
   }
 
 let starvation_bound = 16
+let max_steps_per_quantum = 4096
 
 type id = int
 
@@ -174,8 +173,6 @@ let create ?(config = default_config) db =
   if config.max_inflight < 1 then invalid_arg "Session.create: max_inflight < 1";
   if not (config.quantum > 0.0) then
     invalid_arg (Printf.sprintf "Session.create: quantum %g is not > 0" config.quantum);
-  if config.max_steps_per_quantum < 1 then
-    invalid_arg "Session.create: max_steps_per_quantum < 1";
   if config.max_queue < 0 then invalid_arg "Session.create: max_queue < 0";
   if config.pressure_threshold < 0 then
     invalid_arg "Session.create: pressure_threshold < 0";
@@ -504,7 +501,7 @@ let run_quantum cfg j =
   | W_query q -> (
       let cursor = Option.get q.q_cursor in
       match
-        Retrieval.grant cursor ~budget:cfg.quantum ~max_steps:cfg.max_steps_per_quantum
+        Retrieval.grant cursor ~budget:cfg.quantum ~max_steps:max_steps_per_quantum
           ~stop:(fun () -> query_finished q)
           ~on_row:(fun row ->
             q.q_rows <- row :: q.q_rows;
@@ -518,7 +515,7 @@ let run_quantum cfg j =
   | W_repair r -> (
       match
         Repair.grant (Option.get r.r_repair) ~budget:cfg.quantum
-          ~max_steps:cfg.max_steps_per_quantum
+          ~max_steps:max_steps_per_quantum
       with
       | Some ok ->
           r.r_result <- Some ok;

@@ -70,9 +70,6 @@ type crash_point =
 type config = {
   max_inflight : int;  (** admission-control limit, >= 1 *)
   quantum : float;  (** cost units granted per scheduling slice *)
-  max_steps_per_quantum : int;
-      (** hard step bound per grant, >= 1, so zero-cost delivery (e.g.
-          from a materialized sort) cannot hold the engine *)
   max_queue : int;
       (** waiting-queue bound: arrivals beyond it are shed with a
           structured {!outcome.Shed}.  [max_int] — the default — never
@@ -115,6 +112,11 @@ val default_config : config
 val starvation_bound : int
 (** 16: a runnable session passed over this many consecutive grants is
     scheduled next unconditionally, whatever the config. *)
+
+val max_steps_per_quantum : int
+(** 4096: the hard step bound per grant, whatever the config, so
+    zero-cost delivery (e.g. from a materialized sort) cannot hold the
+    engine. *)
 
 type id = int
 
@@ -221,10 +223,8 @@ type t
 
 val create : ?config:config -> Database.t -> t
 (** Raises [Invalid_argument] when [max_inflight < 1], [quantum] is not
-    [> 0] (NaN included), [max_steps_per_quantum < 1] (a grant of zero
-    steps would never finish a query), [max_queue < 0],
-    [pressure_threshold < 0], or a [Crash_at_cost] point is NaN (it
-    would never fire). *)
+    [> 0] (NaN included), [max_queue < 0], [pressure_threshold < 0], or
+    a [Crash_at_cost] point is NaN (it would never fire). *)
 
 val submit :
   t ->

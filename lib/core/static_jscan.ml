@@ -65,7 +65,7 @@ let run ?(keep_threshold = 0.25) ?limit table pred ~env =
       | Jscan.Recommend_tscan _ -> (true, tscan ())
     end
   in
-  let rows = Static_optimizer.drain ?limit meter step in
+  let rows = Static_optimizer.drain ?limit step in
   Trace.emit trace
     (Trace.Retrieval_done { rows = List.length rows; cost = Cost.total meter });
   { rows; cost = Cost.total meter; trace = Trace.events trace; used_tscan }

@@ -183,17 +183,14 @@ type result = { rows : Row.t list; cost : float; trace : Trace.event list }
 
 (* A static plan arms no degradation ladder: the first fault stops the
    driver and escapes as the exception it was (static paths run with no
-   injector installed).  One batch with no [on_yield], so a final
-   stage's fetch cache lives for the whole run. *)
-let drain ?(limit = max_int) meter step =
+   injector installed).  Nothing drops a final stage's fetch cache, so
+   it lives for the whole run. *)
+let drain ?(limit = max_int) step =
   let rows = ref [] in
-  let cursor =
-    Scan.cursor_of_step ~cost:(fun () -> Cost.total meter) (Tactic.limit limit step)
-  in
   let stop = { Driver.on_fault = (fun _ ~consec:_ -> Driver.Stop) } in
   match
-    Driver.drain (Driver.make stop) cursor ~budget:infinity ~on_rows:(fun b ->
-        rows := List.rev_append (List.map snd b.Scan.rows) !rows)
+    Driver.drain (Driver.make stop) (Tactic.limit limit step) ~on_row:(fun _ row ->
+        rows := row :: !rows)
   with
   | Ok () -> List.rev !rows
   | Error f -> raise (Fault.Injected f)
@@ -229,7 +226,7 @@ let execute ?limit table plan pred ~env =
                 let f = Fscan.create table meter cand ~restriction in
                 fun () -> Fscan.step f))
   in
-  let rows = drain ?limit meter step in
+  let rows = drain ?limit step in
   Trace.emit trace
     (Trace.Retrieval_done { rows = List.length rows; cost = Cost.total meter });
   { rows; cost = Cost.total meter; trace = Trace.events trace }

@@ -42,10 +42,10 @@ val execute :
     stops delivery early (the plan itself never switches); raises
     [Invalid_argument] if negative. *)
 
-val drain : ?limit:int -> Rdb_storage.Cost.t -> Tactic.t -> Row.t list
+val drain : ?limit:int -> Tactic.t -> Row.t list
 (** Run a static plan's step tactic to completion under
-    [Tactic.limit limit] (default: every row), as one batch through
-    {!Rdb_exec.Driver}, and return the delivered rows in order.
+    [Tactic.limit limit] (default: every row) through
+    {!Rdb_exec.Driver.drain}, and return the delivered rows in order.
     Static plans arm no degradation ladder: a fault escapes as
     [Fault.Injected].  Shared by {!Static_jscan}. *)
 

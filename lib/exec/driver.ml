@@ -1,15 +1,15 @@
-(* The one generic cursor driver.
+(* The one generic step driver.
 
    Every execution loop in the system — Retrieval quanta, Uscan/Jscan
-   completion runs, Repair batches, Session grants — settles its steps
-   through this module.  The driver owns the mechanics every loop used
-   to reimplement: consecutive-fault counting and the dispatch to a
-   caller-supplied fault policy.  It holds only that policy state: the
-   cursor it pumps is an argument, and a caller that takes one step
-   itself settles it with [settle].  Policies stay with the callers
-   (retrieval quarantines and falls back; union machinery abandons;
-   repair gives up) because *what* to do about a fault is strategy
-   knowledge — *when* to ask is not. *)
+   completion runs, Repair copy runs, the static baselines, Session
+   grants — settles its steps through this module.  The driver owns the
+   mechanics every loop used to reimplement: consecutive-fault counting
+   and the dispatch to a caller-supplied fault policy.  It holds only
+   that policy state: the step function it pumps is an argument, and a
+   caller that takes one step itself settles it with [settle].
+   Policies stay with the callers (retrieval quarantines and falls
+   back; union machinery abandons; repair gives up) because *what* to
+   do about a fault is strategy knowledge — *when* to ask is not. *)
 
 type decision =
   | Retry
@@ -30,17 +30,14 @@ type progress =
   | Exhausted
   | Stopped of Rdb_storage.Fault.failure
 
-let settle d ~steps = function
-  | Scan.More ->
+let settle d = function
+  | Scan.Deliver _ | Scan.Continue ->
       d.consec <- 0;
       More
-  | Scan.Exhausted ->
+  | Scan.Done ->
       d.consec <- 0;
       Exhausted
-  | Scan.Faulted f -> (
-      (* Any successful step inside the batch breaks the consecutive
-         run, exactly as step-at-a-time pumping would have. *)
-      if steps > 1 then d.consec <- 0;
+  | Scan.Failed f -> (
       d.consec <- d.consec + 1;
       match d.policy.on_fault f ~consec:d.consec with
       | Retry -> More
@@ -51,17 +48,24 @@ let settle d ~steps = function
           d.consec <- 0;
           Stopped f)
 
-let pump d (cursor : Scan.cursor) ~budget ~on_rows =
-  let b = cursor.next_batch ~budget in
-  (* Rows first: a batch that delivered rows and then faulted must
-     hand those rows to the consumer *before* the policy runs — a
-     fallback scan re-covering them would otherwise redeliver. *)
-  on_rows b;
-  settle d ~steps:b.Scan.steps b.Scan.status
+(* A row reaches the consumer before the next step, and so before the
+   policy settles a later fault: a fallback re-covering it would
+   otherwise redeliver.  [Done] and [Failed] end the pump once settled;
+   the first step is unconditional. *)
+let pump d ~max_steps step ~on_row =
+  let rec loop n =
+    match step () with
+    | (Scan.Done | Scan.Failed _) as s -> settle d s
+    | s ->
+        (match s with Scan.Deliver (rid, row) -> on_row rid row | _ -> ());
+        let p = settle d s in
+        if n < max_steps then loop (n + 1) else p
+  in
+  loop 1
 
-let drain d cursor ~budget ~on_rows =
+let drain d step ~on_row =
   let rec loop () =
-    match pump d cursor ~budget ~on_rows with
+    match pump d ~max_steps:max_int step ~on_row with
     | More -> loop ()
     | Exhausted -> Ok ()
     | Stopped f -> Error f

@@ -1,20 +1,22 @@
-(** The one generic cursor driver.
+(** The one generic step driver.
 
     All drive loops — retrieval quanta, union/joint-scan completion
-    runs, online repair, session grants — settle their steps through
-    this module (pumping a {!Scan.cursor}, or one step at a time), so
-    consecutive-fault bookkeeping and the fault-policy dispatch exist
-    exactly once.  Callers keep the policy: what a fault *means*
-    (retry with backoff, quarantine the index, fall back to Tscan,
-    abandon the union, fail the repair) is strategy knowledge;
-    counting and asking is not. *)
+    runs, online repair, the static baselines, session grants — settle
+    their steps through this module (pumping a step function, or one
+    step at a time), so consecutive-fault bookkeeping and the
+    fault-policy dispatch exist exactly once.  Callers keep the policy:
+    what a fault *means* (retry with backoff, quarantine the index,
+    fall back to Tscan, abandon the union, fail the repair) is strategy
+    knowledge; counting and asking is not. *)
+
+open Rdb_data
 
 type decision =
-  | Retry  (** pump again; the faulted step will be re-attempted *)
+  | Retry  (** step again; the faulted step will be re-attempted *)
   | Absorb
       (** the policy changed course (quarantined / fell back /
-          abandoned); the cursor now reflects the new course — keep
-          pumping and reset the consecutive-fault count *)
+          abandoned); the step function now reflects the new course —
+          keep stepping and reset the consecutive-fault count *)
   | Stop  (** give up; surface the failure to the caller *)
 
 type policy = { on_fault : Rdb_storage.Fault.failure -> consec:int -> decision }
@@ -23,38 +25,43 @@ type policy = { on_fault : Rdb_storage.Fault.failure -> consec:int -> decision }
 
 type t
 (** The policy and its consecutive-fault count — nothing else: the
-    cursor is an argument of {!pump}, and a caller that takes one step
-    itself hands the outcome to {!settle}. *)
+    step function is an argument of {!pump}, and a caller that takes
+    one step itself hands the outcome to {!settle}. *)
 
 val make : policy -> t
 
 type progress =
-  | More  (** keep pumping *)
-  | Exhausted  (** the cursor completed *)
+  | More  (** keep stepping *)
+  | Exhausted  (** the step function completed *)
   | Stopped of Rdb_storage.Fault.failure  (** the policy gave up *)
 
-val settle : t -> steps:int -> Scan.status -> progress
-(** Settle one batch's status: [More] and [Exhausted] reset the
-    consecutive-fault count; [Faulted f] counts the fault (a batch of
-    more than one step first resets the count — a step before the
-    fault succeeded) and asks the policy: [Retry] reads [More], [Absorb]
-    resets the count and reads [More], [Stop] resets it and reads
-    [Stopped f].  A caller stepping one step at a time settles each
-    step as a batch of [~steps:1]. *)
+val settle : t -> Scan.step -> progress
+(** Settle one step: [Deliver] and [Continue] reset the
+    consecutive-fault count and read [More]; [Done] resets it and reads
+    [Exhausted]; [Failed f] counts the fault and asks the policy:
+    [Retry] reads [More], [Absorb] resets the count and reads [More],
+    [Stop] resets it and reads [Stopped f]. *)
 
-val pump : t -> Scan.cursor -> budget:float -> on_rows:(Scan.batch -> unit) -> progress
-(** One batch: pull [next_batch ~budget], hand the whole batch to
-    [on_rows] {e before} running the fault policy (rows delivered
-    ahead of a fault must reach the consumer before any fallback
-    could redeliver them), then {!settle} the batch status. *)
+val pump :
+  t ->
+  max_steps:int ->
+  (unit -> Scan.step) ->
+  on_row:(Rid.t -> Row.t -> unit) ->
+  progress
+(** Step and {!settle} until a step is [Done] or [Failed], or
+    [max_steps] steps ran (the first step always runs).  Each delivered
+    row reaches [on_row] before the next step, so rows delivered ahead
+    of a fault reach the consumer before any fallback could redeliver
+    them.  A faulted step ends the pump once settled, whatever the
+    policy decided: a retried or absorbed fault reads [More]. *)
 
 val drain :
   t ->
-  Scan.cursor ->
-  budget:float ->
-  on_rows:(Scan.batch -> unit) ->
+  (unit -> Scan.step) ->
+  on_row:(Rid.t -> Row.t -> unit) ->
   (unit, Rdb_storage.Fault.failure) result
-(** Pump to completion.  [Error f] when the policy stopped. *)
+(** {!pump} with no step cap until the step function is exhausted.
+    [Error f] when the policy stopped. *)
 
 val clocked_loop :
   spent:(unit -> float) ->

@@ -13,10 +13,10 @@ type t = {
           evidence, columns outside the key reading as NULL *)
   cursor : Btree.multi_cursor;
   cache : Heap_file.fetch_cache;
-      (** page-handle cache for the record fetches; valid for one
-          batch quantum — the cursor's [on_yield] invalidates it, and
-          a retrieval stepping the scan drops it at the end of each
-          step *)
+      (** page-handle cache for the record fetches; its handles are
+          stamp-checked, so it may outlive a step — a retrieval
+          stepping the scan drops it at the end of each step, a static
+          run keeps it for the whole run *)
   mutable filter : Filter.t option;
   mutable pending : (Btree.key * Rdb_data.Rid.t) option;
       (** entry pulled from the cursor whose quantum has not completed:
@@ -93,12 +93,6 @@ let step t =
       end
 
 let drop_cache t = Heap_file.invalidate_cache t.cache
-
-let cursor t =
-  Scan.cursor_of_step
-    ~cost:(fun () -> Cost.total t.meter)
-    ~on_yield:(fun () -> drop_cache t)
-    (fun () -> step t)
 
 let fetched t = t.fetched
 let rejected_after_fetch t = t.rejected

@@ -21,14 +21,11 @@ val set_filter : t -> Filter.t -> unit
 
 val step : t -> Scan.step
 
-val cursor : t -> Scan.cursor
-(** The scan as a batch-quantum cursor.  Record fetches inside one
-    batch share a page-handle cache ({!Rdb_storage.Heap_file.fetch_via});
-    the cursor invalidates it on every batch boundary. *)
-
 val drop_cache : t -> unit
-(** Invalidate the fetch cache.  Callers driving [step] directly must
-    call this whenever control leaves their quantum. *)
+(** Invalidate the page-handle cache the record fetches share
+    ({!Rdb_storage.Heap_file.fetch_via}).  Its handles are
+    stamp-checked, so a cache may safely outlive a step; a caller drops
+    it to keep its buffer-pool lookups per step. *)
 
 val fetched : t -> int
 (** Record fetches performed. *)

@@ -452,25 +452,23 @@ let quarantine t f =
 
 let outcome t = t.finished
 
-(* Row-less cursor: Jscan produces a RID list (or a recommendation)
-   through [outcome]; faults surface as batch status so the shared
-   driver's policy decides between retry and quarantine. *)
-let cursor t =
-  Scan.cursor_of_step
-    ~cost:(fun () -> Cost.total t.meter)
-    (fun () ->
-      match step t with
-      | `Working -> Scan.Continue
-      | `Finished _ -> Scan.Done
-      | `Faulted f -> Scan.Failed f)
-
+(* Jscan produces a RID list (or a recommendation) through [outcome],
+   not rows; faults surface as [Failed] steps so the shared driver's
+   policy decides between retry and quarantine. *)
 let run t =
   let policy =
     Tactic.Policy.(
       seal (stack [ retry_transient; absorb_with ~name:"quarantine" (quarantine t) ]))
   in
-  let d = Driver.make policy in
-  (match Driver.drain d (cursor t) ~budget:infinity ~on_rows:ignore with
+  (match
+     Driver.drain (Driver.make policy)
+       (fun () ->
+         match step t with
+         | `Working -> Scan.Continue
+         | `Finished _ -> Scan.Done
+         | `Faulted f -> Scan.Failed f)
+       ~on_row:(fun _ _ -> ())
+   with
   | Ok () -> ()
   | Error _ -> (* the quarantine rung absorbs, never stops *) assert false);
   match t.finished with Some o -> o | None -> assert false

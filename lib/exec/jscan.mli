@@ -85,7 +85,7 @@ val outcome : t -> outcome option
 (** [None] until the competition settles. *)
 
 val run : t -> outcome
-(** Drain {!cursor} through the shared driver under the
+(** Drain {!step} through the shared driver under the
     [retry-transient ⇒ quarantine] {!Tactic.Policy} ladder: transient
     faults retry in place, anything else quarantines the blamed party
     and the competition continues. *)

@@ -4,7 +4,6 @@ open Rdb_storage
 
 type t = {
   table : Table.t;
-  meter : Cost.t;
   idx : Table.index;
   restriction : Predicate.compiled_key;
   cursor : Btree.multi_cursor;
@@ -18,7 +17,6 @@ let create table meter (cand : Scan.candidate) ~restriction =
     invalid_arg "Sscan.create: index does not cover the restriction";
   {
     table;
-    meter;
     idx = cand.Scan.idx;
     restriction = Scan.compile_key table cand.Scan.idx restriction;
     cursor = Btree.multi_cursor cand.Scan.idx.Table.tree meter cand.Scan.ranges;
@@ -40,5 +38,4 @@ let step t =
       end
       else Scan.Continue
 
-let cursor t = Scan.cursor_of_step ~cost:(fun () -> Cost.total t.meter) (fun () -> step t)
 let delivered t = t.delivered

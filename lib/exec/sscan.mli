@@ -18,8 +18,4 @@ val create : Table.t -> Cost.t -> Scan.candidate -> restriction:Predicate.t -> t
 
 val step : t -> Scan.step
 
-val cursor : t -> Scan.cursor
-(** The scan as a batch-quantum cursor (the uniform driver
-    interface). *)
-
 val delivered : t -> int

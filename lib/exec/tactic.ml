@@ -74,22 +74,6 @@ let distinct seen tac () =
       if Rdb_rid.Rid_set.add seen rid then s else Scan.Continue
   | s -> s
 
-let with_policy policy inner =
-  let d = Driver.make policy in
-  {
-    Scan.next_batch =
-      (fun ~budget ->
-        let captured = ref { Scan.rows = []; steps = 0; status = Scan.More } in
-        let progress = Driver.pump d inner ~budget ~on_rows:(fun b -> captured := b) in
-        let status =
-          match progress with
-          | Driver.More -> Scan.More
-          | Driver.Exhausted -> Scan.Exhausted
-          | Driver.Stopped f -> Scan.Faulted f
-        in
-        { !captured with Scan.status });
-  }
-
 module Policy = struct
   type rung = {
     names : string list;

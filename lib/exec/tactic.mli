@@ -21,8 +21,8 @@ open Rdb_storage
 
 type t = unit -> Scan.step
 (** One quantum of work.  The existing step functions ([Tscan.step],
-    [Sscan.step], …) are tactics as-is; cursors are obtained through
-    {!Scan.cursor_of_step}. *)
+    [Sscan.step], …) are tactics as-is, and {!Driver} settles their
+    steps. *)
 
 val halt : t
 (** Yields [Done] forever.  Identity for {!then_}: [then_ t (fun () ->
@@ -82,20 +82,12 @@ val distinct : Rdb_rid.Rid_set.t -> t -> t
     cursor's delivered-RID set, which its Tscan fallback, final stage,
     and foreground buffer caps all read. *)
 
-val with_policy : Driver.policy -> Scan.cursor -> Scan.cursor
-(** A {!Driver} fault policy as a cursor transformer: batches pass
-    through with rows, cost, and steps unchanged, but the status
-    reflects the policy's settlement — a retried or absorbed fault
-    reads [More] (pump again), and [Faulted] surfaces only when the
-    policy stopped.  Consecutive-fault counting lives in the embedded
-    driver and persists across batches, exactly as if the caller had
-    pumped the cursor through {!Driver.pump} with a driver of its own. *)
-
 (** Fault policies as composable ladders.  A {!Policy.rung} is one
-    recourse that either decides a fault or declines it; {!Policy.orelse}
-    tries the left rung first — retrieval's ladder is literally
-    [retry ⇒ quarantine ⇒ abort-heap ⇒ tscan-fallback].  Rung names
-    double as the EXPLAIN [policy:] line via {!Policy.describe}. *)
+    recourse that either decides a fault or declines it; {!Policy.stack}
+    asks its rungs in order until one decides — retrieval's ladder is
+    literally [retry ⇒ quarantine ⇒ abort-heap ⇒ tscan-fallback].
+    Rung names double as the EXPLAIN [policy:] line via
+    {!Policy.describe}. *)
 module Policy : sig
   type rung
 
@@ -108,12 +100,9 @@ module Policy : sig
       charges) must happen inside the deciding call — exactly one rung
       decides per fault. *)
 
-  val orelse : rung -> rung -> rung
-  (** First-deciding-wins; names concatenate for {!describe}. *)
-
   val stack : rung list -> rung
-  (** [orelse] folded left-to-right.  Raises [Invalid_argument] on the
-      empty list. *)
+  (** First-deciding-wins, left to right; names concatenate for
+      {!describe}.  Raises [Invalid_argument] on the empty list. *)
 
   val describe : rung -> string
   (** Rung names joined with [" ⇒ "] — construction is effect-free, so

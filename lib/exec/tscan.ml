@@ -38,5 +38,4 @@ let step t =
         else Scan.Continue
   end
 
-let cursor t = Scan.cursor_of_step ~cost:(fun () -> Cost.total t.meter) (fun () -> step t)
 let examined t = t.examined

@@ -19,9 +19,5 @@ val create : Table.t -> Cost.t -> Predicate.t -> t
 
 val step : t -> Scan.step
 
-val cursor : t -> Scan.cursor
-(** The scan as a batch-quantum cursor (the uniform driver
-    interface). *)
-
 val examined : t -> int
 (** Records looked at so far. *)

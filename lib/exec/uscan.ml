@@ -199,25 +199,22 @@ let abandon t f =
 
 let outcome t = t.finished
 
-(* Row-less cursor: the union delivers a RID list (or a Tscan
-   recommendation) through [outcome], not rows, so every productive
-   step maps to [Continue]. *)
-let cursor t =
-  Scan.cursor_of_step
-    ~cost:(fun () -> Cost.total t.meter)
-    (fun () ->
-      match step t with
-      | `Working -> Scan.Continue
-      | `Finished _ -> Scan.Done
-      | `Faulted f -> Scan.Failed f)
-
+(* The union delivers a RID list (or a Tscan recommendation) through
+   [outcome], not rows, so every productive step drains as [Continue]. *)
 let run t =
   let policy =
     Tactic.Policy.(
       seal (stack [ retry_transient; absorb_with ~name:"abandon" (abandon t) ]))
   in
-  let d = Driver.make policy in
-  (match Driver.drain d (cursor t) ~budget:infinity ~on_rows:ignore with
+  (match
+     Driver.drain (Driver.make policy)
+       (fun () ->
+         match step t with
+         | `Working -> Scan.Continue
+         | `Finished _ -> Scan.Done
+         | `Faulted f -> Scan.Failed f)
+       ~on_row:(fun _ _ -> ())
+   with
   | Ok () -> ()
   | Error _ -> (* the abandon rung absorbs, never stops *) assert false);
   match t.finished with Some o -> o | None -> assert false

@@ -49,7 +49,7 @@ val outcome : t -> outcome option
 (** [None] until the union finishes (or is abandoned). *)
 
 val run : t -> outcome
-(** Drain {!cursor} through the shared driver under the
+(** Drain {!step} through the shared driver under the
     [retry-transient ⇒ abandon] {!Tactic.Policy} ladder: transient
     faults retry in place, anything else abandons to
     [Recommend_tscan]. *)

@@ -108,19 +108,19 @@ val touch_read : t -> Cost.t -> block -> [ `Hit | `Miss ]
     read.  Checksummed stores verify page integrity on [`Miss] (a cold
     read is the moment corruption would be observed). *)
 
-(** {1 Lookup handles} — batch-quantum repeat-access fast path.
+(** {1 Lookup handles} — repeat-access fast path.
 
-    Every [touch_read] probes the residency hash table; a batched
-    cursor touching the same page many times inside one quantum pays
-    that probe each time even though nothing moved.  A {!handle}
+    Every [touch_read] probes the residency hash table; a fetcher
+    touching the same page many times in a row pays that probe each
+    time even though nothing moved.  A {!handle}
     remembers the LRU node a lookup resolved to, and {!retouch}
     replays the {e hit} path through it — same LRU bump, same logical
     charge to the meter and the global meter, same metrics events,
     same fault-injector stream — while skipping the probe.  Handles
     are invalidated conservatively by {e any} eviction in the owning
     shard ([retouch] returns [false]; redo the full lookup) — evictions
-    in other shards leave them valid — so they are only worth holding
-    across a short window such as one [next_batch] call. *)
+    in other shards leave them valid — so holding one is always safe,
+    and worth it across a short window such as one scan step. *)
 
 type handle
 
@@ -140,8 +140,8 @@ val lookups : t -> int
 (** Residency-table probes performed so far, summed across shards and
     monotone across {!reshard} (charged read and write accesses only;
     [retouch] does not probe).  Distinct from charged accesses: this
-    is the in-memory bookkeeping the batch-quantum cursors amortize,
-    also exported per file as the [pool.lookups] metric. *)
+    is the in-memory bookkeeping a {!handle} saves, also exported per
+    file as the [pool.lookups] metric. *)
 
 val write : t -> Cost.t -> block -> unit
 (** Access a block for writing: charges a block write; the block

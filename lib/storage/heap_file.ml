@@ -155,9 +155,10 @@ let fetch t meter (rid : Rid.t) =
    sorted RID lists guarantee it.  A fetch cache remembers the last
    page together with its pool {!Buffer_pool.handle}; a repeat fetch
    re-accesses via {!Buffer_pool.retouch} — identical charges, metrics
-   and injector stream, one fewer residency probe.  The cache is only
-   sound while its handle is: holders must [invalidate_cache] whenever
-   control leaves their batch quantum. *)
+   and injector stream, one fewer residency probe.  A stale handle
+   (an eviction in its shard since) fails [retouch] and the fetch
+   redoes the full lookup, so a cache may outlive a step; holders that
+   want a probe per step [invalidate_cache] when their step ends. *)
 
 type fetch_cache = {
   mutable entry : (int * page * Buffer_pool.handle) option; (* page_no *)

@@ -45,16 +45,18 @@ val fetch : t -> Cost.t -> Rid.t -> Row.t option
     one page access and one cpu op.  [None] if deleted or out of
     range. *)
 
-(** {1 Cached fetch} — batch-quantum page-locality fast path.
+(** {1 Cached fetch} — page-locality fast path.
 
     Clustered fetches and sorted RID lists hit the same page many
     times in a row; a fetch cache carries the last page's pool handle
     so repeat fetches re-access it via {!Buffer_pool.retouch}:
     charges, metrics, and the fault-injector stream are identical to
-    {!fetch}, only the residency probe is skipped.  Holders must
-    invalidate the cache whenever control leaves their batch quantum
-    (another cursor may evict the page meanwhile); a stale handle
-    falls back to the full lookup automatically. *)
+    {!fetch}, only the residency probe is skipped.  The handle is
+    stamp-checked, so a cache may outlive a step: when another cursor
+    has evicted from the page's shard meanwhile, the stale handle falls
+    back to the full lookup automatically.  Holders that want a
+    residency probe per step invalidate the cache when their step
+    ends. *)
 
 type fetch_cache
 

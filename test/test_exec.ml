@@ -598,187 +598,6 @@ let test_final_stage_reevaluates_restriction () =
   in
   check "only qualifying survive" true (drain (fun () -> Final_stage.step fin) = good)
 
-(* --- batch cursors (DESIGN.md §11) ---------------------------------------- *)
-
-(* The batch budget is a pure amortization knob: delivered pairs (in
-   order), total charged cost, and the fault sequence must be identical
-   across budgets and identical to the pre-refactor step-at-a-time
-   protocol (which budget 0 reproduces bit-for-bit). *)
-
-let drive_steps step_fn ~cost =
-  let rows = ref [] and faults = ref [] in
-  let rec loop () =
-    match step_fn () with
-    | Scan.Deliver (rid, row) ->
-        rows := (rid, row) :: !rows;
-        loop ()
-    | Scan.Continue -> loop ()
-    | Scan.Done -> ()
-    | Scan.Failed f ->
-        faults := Rdb_storage.Fault.describe f :: !faults;
-        loop ()
-  in
-  loop ();
-  (List.rev !rows, cost (), List.rev !faults)
-
-let drive_cursor (cursor : Scan.cursor) ~budget ~cost =
-  let rows = ref [] and faults = ref [] in
-  let rec loop () =
-    let b = cursor.Scan.next_batch ~budget in
-    List.iter (fun p -> rows := p :: !rows) b.Scan.rows;
-    match b.Scan.status with
-    | Scan.More -> loop ()
-    | Scan.Faulted f ->
-        faults := Rdb_storage.Fault.describe f :: !faults;
-        loop ()
-    | Scan.Exhausted -> ()
-  in
-  loop ();
-  (List.rev !rows, cost (), List.rev !faults)
-
-let batch_pred = Predicate.(And [ "X" >=% Value.int 10; "X" <% Value.int 40 ])
-
-(* One cold run of [kind] over a fresh fixture: [budget = None] drives
-   the raw step protocol, [Some b] the batch cursor. *)
-let batch_run kind ~budget ~plan =
-  let f = fixture ~rows:2000 () in
-  Rdb_storage.Buffer_pool.flush f.pool;
-  Rdb_storage.Buffer_pool.set_injector f.pool (Option.map Rdb_storage.Fault.create plan);
-  let m = Rdb_storage.Cost.create () in
-  let cost () = Rdb_storage.Cost.total m in
-  let step, cursor =
-    match kind with
-    | `Tscan ->
-        let t = Tscan.create f.table m batch_pred in
-        ((fun () -> Tscan.step t), Tscan.cursor t)
-    | `Sscan ->
-        let s =
-          Sscan.create f.table m (candidate_for f "X_IDX" batch_pred) ~restriction:batch_pred
-        in
-        ((fun () -> Sscan.step s), Sscan.cursor s)
-    | `Fscan ->
-        let fs =
-          Fscan.create f.table m (candidate_for f "X_IDX" batch_pred) ~restriction:batch_pred
-        in
-        ((fun () -> Fscan.step fs), Fscan.cursor fs)
-  in
-  match budget with
-  | None -> drive_steps step ~cost
-  | Some b -> drive_cursor cursor ~budget:b ~cost
-
-let batch_budgets = [ 0.0; 1.0; 7.0; 64.0 ]
-
-let test_cursor_batch_invariance () =
-  List.iter
-    (fun (name, kind) ->
-      let reference = batch_run kind ~budget:None ~plan:None in
-      let rows, _, _ = reference in
-      check (name ^ " delivers rows") true (rows <> []);
-      List.iter
-        (fun b ->
-          check
-            (Printf.sprintf "%s invariant at budget %g" name b)
-            true
-            (batch_run kind ~budget:(Some b) ~plan:None = reference))
-        batch_budgets)
-    [ ("tscan", `Tscan); ("sscan", `Sscan); ("fscan", `Fscan) ]
-
-let test_cursor_fault_sequence_invariant () =
-  let plan = Some (Rdb_storage.Fault.plan ~transient_read_rate:0.2 ~seed:11 ()) in
-  let reference = batch_run `Fscan ~budget:None ~plan in
-  let _, _, faults = reference in
-  check "faults actually fired" true (faults <> []);
-  List.iter
-    (fun b ->
-      check
-        (Printf.sprintf "fault sequence invariant at budget %g" b)
-        true
-        (batch_run `Fscan ~budget:(Some b) ~plan = reference))
-    batch_budgets
-
-let prop_cursor_batch_invariant =
-  QCheck.Test.make ~name:"fscan cursor invariant across batch budgets" ~count:10
-    QCheck.(pair (int_bound 80) (int_bound 30))
-    (fun (xlo, xspan) ->
-      let pred =
-        Predicate.(And [ "X" >=% Value.int xlo; "X" <=% Value.int (xlo + xspan) ])
-      in
-      let run budget =
-        let f = fixture ~rows:1200 () in
-        Rdb_storage.Buffer_pool.flush f.pool;
-        let m = Rdb_storage.Cost.create () in
-        let fs = Fscan.create f.table m (candidate_for f "X_IDX" pred) ~restriction:pred in
-        let cost () = Rdb_storage.Cost.total m in
-        match budget with
-        | None -> drive_steps (fun () -> Fscan.step fs) ~cost
-        | Some b -> drive_cursor (Fscan.cursor fs) ~budget:b ~cost
-      in
-      let reference = run None in
-      List.for_all (fun b -> run (Some b) = reference) [ 1.0; 7.0; 64.0 ])
-
-(* A scripted step stream under a scripted clock: each step charges one
-   unit, and [reads] counts every time the cursor looks at the clock. *)
-let scripted_cursor script =
-  let script = ref script and spent = ref 0 and reads = ref 0 in
-  let step () =
-    match !script with
-    | [] -> Scan.Done
-    | s :: rest ->
-        script := rest;
-        incr spent;
-        s
-  in
-  let cursor =
-    Scan.cursor_of_step
-      ~cost:(fun () ->
-        incr reads;
-        float_of_int !spent)
-      step
-  in
-  (cursor, reads)
-
-let scripted_rid i = Rdb_data.Rid.make ~page:0 ~slot:i
-let scripted_deliver i = Scan.Deliver (scripted_rid i, [| Value.int i |])
-
-(* (steps, delivered slots, exhausted) per batch, pumped to exhaustion. *)
-let batch_shapes cursor ~budget =
-  let rec loop acc =
-    let b = cursor.Scan.next_batch ~budget in
-    let shape =
-      ( b.Scan.steps,
-        List.map (fun ((r : Rdb_data.Rid.t), _) -> r.slot) b.Scan.rows,
-        b.Scan.status = Scan.Exhausted )
-    in
-    if b.Scan.status = Scan.Exhausted then List.rev (shape :: acc) else loop (shape :: acc)
-  in
-  loop []
-
-let batch_script =
-  [ scripted_deliver 1; Scan.Continue; scripted_deliver 2; scripted_deliver 3; Scan.Continue;
-    scripted_deliver 4; scripted_deliver 5 ]
-
-let test_budget_zero_reads_no_clock () =
-  let cursor, reads = scripted_cursor batch_script in
-  let shapes = batch_shapes cursor ~budget:0.0 in
-  check_int "no clock read at budget 0" 0 !reads;
-  check "one step per batch" true
-    (shapes
-    = [ (1, [ 1 ], false); (1, [], false); (1, [ 2 ], false); (1, [ 3 ], false);
-        (1, [], false); (1, [ 4 ], false); (1, [ 5 ], false); (1, [], true) ])
-
-(* A positive budget ends a batch once the clock has advanced by it
-   (checked before each step, never before the first), so at 2.5 units
-   and one unit per step a batch is three steps. *)
-let test_positive_budget_boundaries () =
-  let cursor, reads = scripted_cursor batch_script in
-  let shapes = batch_shapes cursor ~budget:2.5 in
-  check "three steps per batch, rows in delivery order" true
-    (shapes = [ (3, [ 1; 2 ], false); (3, [ 3; 4 ], false); (2, [ 5 ], true) ]);
-  check "the clock is read" true (!reads > 0);
-  let cursor, _ = scripted_cursor batch_script in
-  check "an unbounded budget drains in one batch" true
-    (batch_shapes cursor ~budget:infinity = [ (8, [ 1; 2; 3; 4; 5 ], true) ])
-
 (* --- cost model --------------------------------------------------------------- *)
 
 let test_cost_model_orders () =
@@ -858,17 +677,6 @@ let () =
           Alcotest.test_case "excludes delivered" `Quick test_final_stage_excludes_delivered;
           Alcotest.test_case "reevaluates restriction" `Quick
             test_final_stage_reevaluates_restriction;
-        ] );
-      ( "batch_cursor",
-        [
-          Alcotest.test_case "rows/cost invariant across budgets" `Quick
-            test_cursor_batch_invariance;
-          Alcotest.test_case "fault sequence invariant across budgets" `Quick
-            test_cursor_fault_sequence_invariant;
-          QCheck_alcotest.to_alcotest prop_cursor_batch_invariant;
-          Alcotest.test_case "budget 0 reads no clock" `Quick test_budget_zero_reads_no_clock;
-          Alcotest.test_case "positive budgets keep boundaries" `Quick
-            test_positive_budget_boundaries;
         ] );
       ("cost_model", [ Alcotest.test_case "orderings" `Quick test_cost_model_orders ]);
     ]

@@ -118,16 +118,11 @@ let raw_tscan table pred =
 
 (* Pump a composed tactic to exhaustion through the shared driver
    under a [retry-transient] Policy ladder — the oracle-side twin of
-   how every engine loop drives its cursors. *)
-let drain_tactic m tac =
+   how every engine loop drives its tactics. *)
+let drain_tactic tac =
   let out = ref [] in
   let d = Driver.make Tactic.Policy.(seal (stack [ retry_transient ])) in
-  (match
-     Driver.drain d
-       (Scan.cursor_of_step ~cost:(fun () -> Rdb_storage.Cost.total m) tac)
-       ~budget:infinity
-       ~on_rows:(fun b -> List.iter (fun (_, r) -> out := r :: !out) b.Scan.rows)
-   with
+  (match Driver.drain d tac ~on_row:(fun _ r -> out := r :: !out) with
   | Ok () -> ()
   | Error _ -> ());
   List.rev !out
@@ -145,7 +140,7 @@ let hybrid_strategy table bound () =
   in
   let fscan = Fscan.create table m cand ~restriction:bound in
   let to_tscan _ = let t = Tscan.create table m bound in fun () -> Tscan.step t in
-  drain_tactic m
+  drain_tactic
     Tactic.(distinct (Rdb_rid.Rid_set.create ()) (orelse (fun () -> Fscan.step fscan) to_tscan))
 
 (* The seed composes 2–3 random combinators around a Tscan; each wrap
@@ -208,7 +203,7 @@ let strategies ~note rng table pred env =
       fun () ->
         let m = Rdb_storage.Cost.create () in
         let t = Tscan.create table m bound in
-        drain_tactic m (wrap_random rng (fun () -> Tscan.step t)) );
+        drain_tactic (wrap_random rng (fun () -> Tscan.step t)) );
     ("raw tscan", fun () -> raw_tscan table bound);
     ("static mean-point [SACL79]", fun () ->
         let plan = SO.compile table pred ~env:[] in

@@ -403,7 +403,7 @@ let test_deadline_on_quantum_step () =
   let c = R.open_ table req in
   let grant () =
     let r =
-      R.grant c ~budget:quantum ~max_steps:S.default_config.S.max_steps_per_quantum
+      R.grant c ~budget:quantum ~max_steps:S.max_steps_per_quantum
         ~stop:(fun () -> false) ~on_row:ignore
     in
     check "calibration grant pauses" true (r = `Paused);
@@ -494,12 +494,6 @@ let test_tighter_deadline_wins () =
         | S.Timed_out { deadline; _ } -> deadline = 4.0
         | _ -> false))
     report.S.sessions
-
-let test_zero_step_quantum_rejected () =
-  let db, _ = Lazy.force fixture in
-  Alcotest.check_raises "max_steps_per_quantum = 0 rejected"
-    (Invalid_argument "Session.create: max_steps_per_quantum < 1") (fun () ->
-      ignore (S.create ~config:{ S.default_config with S.max_steps_per_quantum = 0 } db))
 
 (* Explicitly-neutral overload knobs reproduce the default scheduler
    bit-for-bit: an unbounded queue never sheds, an infinite pressure
@@ -824,8 +818,6 @@ let () =
           Alcotest.test_case "lifecycle guards" `Quick test_lifecycle;
           Alcotest.test_case "quota-aware admission order" `Quick
             test_quota_admission_order;
-          Alcotest.test_case "zero-step quantum rejected" `Quick
-            test_zero_step_quantum_rejected;
           Alcotest.test_case "table from another database rejected" `Quick
             test_foreign_table_rejected;
           Alcotest.test_case "negative limit rejected" `Quick test_negative_limit_rejected;

@@ -6,7 +6,8 @@
    byte-identical — rows, order, step stream, fault sequence — to
    their bespoke twins on random scripts.  The Policy sub-algebra is
    pinned the same way: rung order, description strings, and the
-   sealed driver behavior. *)
+   sealed driver behavior; so are Driver's pump and drain over
+   scripted tactics, and settling step by step against pump. *)
 
 open Rdb_data
 open Rdb_exec
@@ -176,24 +177,22 @@ let test_distinct () =
     (stream tac2 = [ Scan.Continue; deliver 4; Scan.Done ])
 
 (* ------------------------------------------------------------------ *)
-(* with_policy: the cursor transformer                                 *)
+(* Driver: pump and drain over scripted tactics                        *)
 
-let cursor_of tac = Scan.cursor_of_step ~cost:(fun () -> 0.0) tac
-
-let test_with_policy_passthrough () =
-  let c =
-    Tactic.with_policy
-      Tactic.Policy.(seal (stack [ retry_transient ]))
-      (cursor_of (of_script [ deliver 1; Scan.Continue; deliver 2 ]))
+let test_driver_passthrough () =
+  let rows = ref [] in
+  let d = Driver.make Tactic.Policy.(seal (stack [ retry_transient ])) in
+  let r =
+    Driver.drain d
+      (of_script [ deliver 1; Scan.Continue; deliver 2 ])
+      ~on_row:(fun _ r -> rows := r :: !rows)
   in
-  let b = c.Scan.next_batch ~budget:infinity in
-  check "rows pass through in order" true
-    (List.map snd b.Scan.rows = [ row 1; row 2 ]);
-  check "exhaustion surfaces" true (b.Scan.status = Scan.Exhausted)
+  check "rows pass through in order" true (List.rev !rows = [ row 1; row 2 ]);
+  check "exhaustion surfaces" true (r = Ok ())
 
-let test_with_policy_stop_and_consec () =
-  (* stop on the second *consecutive* fault: the embedded driver owns
-     the count and it must persist across batches *)
+let test_driver_stop_and_consec () =
+  (* stop on the second *consecutive* fault: the driver owns the count
+     and it must persist across pumps *)
   let stops = ref 0 in
   let policy =
     Tactic.Policy.(
@@ -205,38 +204,58 @@ let test_with_policy_stop_and_consec () =
              give_up ~name:"stop";
            ]))
   in
-  let c =
-    Tactic.with_policy policy
-      (cursor_of
-         (of_script
-            [ deliver 1; Scan.Failed (fault 1); Scan.Failed (fault 2); deliver 2 ]))
+  let d = Driver.make policy in
+  let tac =
+    of_script [ deliver 1; Scan.Failed (fault 1); Scan.Failed (fault 2); deliver 2 ]
   in
   let rec pump n =
     if n > 12 then check "terminates" true false
     else
-      match (c.Scan.next_batch ~budget:0.0).Scan.status with
-      | Scan.Faulted _ -> incr stops
-      | Scan.Exhausted -> ()
-      | Scan.More -> pump (n + 1)
+      match Driver.pump d ~max_steps:1 tac ~on_row:(fun _ _ -> ()) with
+      | Driver.Stopped _ -> incr stops
+      | Driver.Exhausted -> ()
+      | Driver.More -> pump (n + 1)
   in
   pump 0;
   check_int "stopped on the second consecutive fault" 1 !stops
 
-let test_with_policy_absorb () =
+let test_driver_absorb () =
   let absorbed = ref [] in
-  let c =
-    Tactic.with_policy
+  let rows = ref [] in
+  let d =
+    Driver.make
       Tactic.Policy.(
         seal (stack [ absorb_with ~name:"note" (fun f -> absorbed := f :: !absorbed) ]))
-      (cursor_of (of_script [ deliver 1; Scan.Failed (fault 5); deliver 2 ]))
   in
-  let rec pump () =
-    match (c.Scan.next_batch ~budget:infinity).Scan.status with
-    | Scan.More -> pump ()
-    | s -> s
-  in
-  check "absorbed faults keep the cursor pumping" true (pump () = Scan.Exhausted);
+  check "absorbed faults keep stepping" true
+    (Driver.drain d
+       (of_script [ deliver 1; Scan.Failed (fault 5); deliver 2 ])
+       ~on_row:(fun _ r -> rows := r :: !rows)
+    = Ok ());
+  check "rows on both sides of the fault" true (List.rev !rows = [ row 1; row 2 ]);
   check "the absorb action saw the fault" true (!absorbed = [ fault 5 ])
+
+(* A pump ends at its step cap, at [Done], and at a faulted step once
+   the policy has settled it — a retried fault included, so a repair
+   step ends early at a retried fault. *)
+let test_driver_pump_boundaries () =
+  let d = Driver.make Tactic.Policy.(seal (stack [ retry_transient ])) in
+  let tac =
+    of_script
+      [ deliver 1; Scan.Failed (fault 1); deliver 2; deliver 3; deliver 4; deliver 5 ]
+  in
+  let rec pumps acc =
+    let rows = ref [] in
+    let p = Driver.pump d ~max_steps:3 tac ~on_row:(fun _ r -> rows := r :: !rows) in
+    let acc = List.rev !rows :: acc in
+    match p with
+    | Driver.More when List.length acc < 10 -> pumps acc
+    | p -> (List.rev acc, p)
+  in
+  let handed_out, last = pumps [] in
+  check "a retried fault ends its pump, the step cap the next" true
+    (handed_out = [ [ row 1 ]; [ row 2; row 3; row 4 ]; [ row 5 ] ]);
+  check "the last pump exhausts" true (last = Driver.Exhausted)
 
 (* ------------------------------------------------------------------ *)
 (* Policy rung algebra                                                 *)
@@ -395,64 +414,16 @@ let prop_orelse_keeps_left_rows =
       in
       delivered composed = expected_rows)
 
-let prop_with_policy_matches_driver =
-  QCheck.Test.make
-    ~name:"with_policy batches = pumping Driver.make directly"
-    ~count:(qcount 200) script_arb
-    (fun s ->
-      let policy () =
-        Tactic.Policy.(
-          seal (stack [ retry_transient; give_up ~name:"stop" ]))
-      in
-      let budgets = [ 0.0; infinity ] in
-      List.for_all
-        (fun budget ->
-          let via_cursor =
-            let c = Tactic.with_policy (policy ()) (cursor_of (of_script s)) in
-            let rec go n acc =
-              if n > 200 then List.rev acc
-              else
-                let b = c.Scan.next_batch ~budget in
-                let acc = (b.Scan.rows, b.Scan.steps) :: acc in
-                match b.Scan.status with
-                | Scan.More -> go (n + 1) acc
-                | Scan.Exhausted | Scan.Faulted _ -> List.rev acc
-            in
-            go 0 []
-          in
-          let via_driver =
-            let d = Driver.make (policy ()) in
-            let c = cursor_of (of_script s) in
-            let out = ref [] in
-            let rec go n =
-              if n > 200 then ()
-              else
-                let captured = ref ([], 0) in
-                let p =
-                  Driver.pump d c ~budget ~on_rows:(fun b ->
-                      captured := (b.Scan.rows, b.Scan.steps))
-                in
-                out := !captured :: !out;
-                match p with
-                | Driver.More -> go (n + 1)
-                | Driver.Exhausted | Driver.Stopped _ -> ()
-            in
-            go 0;
-            List.rev !out
-          in
-          via_cursor = via_driver)
-        budgets)
-
 (* A retrieval quantum is one tactic step whose outcome the cursor
-   settles itself through [Driver.settle].  That must be exactly a
-   budget-0 pump of the same tactic: the same rows, the same
+   settles itself through [Driver.settle].  That must be exactly what
+   [Driver.pump] does at any step cap: the same rows, the same
    (fault, consec) questions put to the policy, the same final
    progress.  The policy decides by fault index so every decision —
    retry, absorb, stop — shows up on random scripts. *)
-let prop_settle_matches_budget_zero_pump =
-  QCheck.Test.make ~name:"settling step by step = budget-0 pump" ~count:(qcount 200)
-    script_arb
-    (fun s ->
+let prop_settle_matches_pump =
+  QCheck.Test.make ~name:"settling step by step = pump" ~count:(qcount 200)
+    QCheck.(pair script_arb (oneofl ~print:string_of_int [ 1; 2; 3; max_int ]))
+    (fun (s, max_steps) ->
       let recording calls =
         {
           Driver.on_fault =
@@ -473,13 +444,7 @@ let prop_settle_matches_budget_zero_pump =
           let rows =
             match st with Scan.Deliver (rid, r) -> (rid, r) :: rows | _ -> rows
           in
-          let status =
-            match st with
-            | Scan.Deliver _ | Scan.Continue -> Scan.More
-            | Scan.Done -> Scan.Exhausted
-            | Scan.Failed f -> Scan.Faulted f
-          in
-          match Driver.settle d ~steps:1 status with
+          match Driver.settle d st with
           | Driver.More when n < 200 -> go (n + 1) rows
           | p -> (List.rev rows, List.rev !calls, p)
         in
@@ -488,12 +453,11 @@ let prop_settle_matches_budget_zero_pump =
       let pumped =
         let calls = ref [] in
         let d = Driver.make (recording calls) in
-        let c = cursor_of (of_script s) in
+        let tac = of_script s in
         let rows = ref [] in
         let rec go n =
           match
-            Driver.pump d c ~budget:0.0 ~on_rows:(fun b ->
-                rows := List.rev_append b.Scan.rows !rows)
+            Driver.pump d ~max_steps tac ~on_row:(fun rid r -> rows := (rid, r) :: !rows)
           with
           | Driver.More when n < 200 -> go (n + 1)
           | p -> (List.rev !rows, List.rev !calls, p)
@@ -518,12 +482,13 @@ let () =
           Alcotest.test_case "limit" `Quick test_limit;
           Alcotest.test_case "distinct" `Quick test_distinct;
         ] );
-      ( "with_policy",
+      ( "step_driver",
         [
-          Alcotest.test_case "pass-through" `Quick test_with_policy_passthrough;
-          Alcotest.test_case "stop and consec across batches" `Quick
-            test_with_policy_stop_and_consec;
-          Alcotest.test_case "absorb keeps pumping" `Quick test_with_policy_absorb;
+          Alcotest.test_case "pass-through" `Quick test_driver_passthrough;
+          Alcotest.test_case "stop and consec across pumps" `Quick
+            test_driver_stop_and_consec;
+          Alcotest.test_case "absorb keeps stepping" `Quick test_driver_absorb;
+          Alcotest.test_case "pump boundaries" `Quick test_driver_pump_boundaries;
         ] );
       ( "policy",
         [
@@ -538,7 +503,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_then_is_concat;
           QCheck_alcotest.to_alcotest prop_identity_wraps;
           QCheck_alcotest.to_alcotest prop_orelse_keeps_left_rows;
-          QCheck_alcotest.to_alcotest prop_with_policy_matches_driver;
-          QCheck_alcotest.to_alcotest prop_settle_matches_budget_zero_pump;
+          QCheck_alcotest.to_alcotest prop_settle_matches_pump;
         ] );
     ]

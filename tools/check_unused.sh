@@ -1,7 +1,8 @@
 #!/bin/sh
 # Every value a lib/ interface exports must be used somewhere outside its
 # own module: an export nothing calls is dead code, or a helper that
-# belongs out of the .mli.  For each `val name` in lib/**/m.mli, some
+# belongs out of the .mli.  For each `val name` in lib/**/m.mli (a `val`
+# inside `module P : sig ... end` there is an export of P), some
 # .ml/.mli under lib, bin, bench, test, examples or _perfbench/src other
 # than m.ml and m.mli must name it in one of these forms:
 #   - qualified, M.name (also as the tail of a path, Rdb_x.M.name);
@@ -18,13 +19,31 @@ dirs="lib bin bench test examples _perfbench/src"
 exports=$(mktemp)
 trap 'rm -f "$exports"' EXIT
 
-# "Module name path/to/m.mli", one line per export
+# "Module name path/to/m.mli", one line per export: a column-0 `val` is
+# an export of M, an indented one between `module P : sig` and a
+# column-0 `end` an export of P
 for mli in $(find lib -name '*.mli' | sort); do
   base=${mli##*/}
   base=${base%.mli}
   first=$(printf '%s' "$base" | cut -c1 | tr '[:lower:]' '[:upper:]')
   mod="$first${base#?}"
-  sed -n "s|^val \([a-z_][A-Za-z0-9_']*\).*|$mod \1 $mli|p" "$mli"
+  LC_ALL=C awk -v mod="$mod" -v mli="$mli" '
+BEGIN {
+  id = "[A-Za-z0-9_\047]*"
+  sig_re = "^module[ \t]+[A-Z]" id "[ \t]*:[ \t]*sig"
+  val_re = "^[ \t]*val[ \t]+[a-z_]" id
+}
+inner == "" && match($0, sig_re) {
+  inner = $2; sub(/:.*/, "", inner)
+  next
+}
+inner != "" && /^end/ { inner = ""; next }
+match($0, val_re) {
+  name = substr($0, RSTART, RLENGTH); sub(/^[ \t]*val[ \t]+/, "", name)
+  if (inner != "") print inner, name, mli
+  else if ($0 ~ /^val/) print mod, name, mli
+}
+' "$mli"
 done | sort -u > "$exports"
 
 # shellcheck disable=SC2086
