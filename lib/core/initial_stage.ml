@@ -8,7 +8,6 @@ type classified = {
   self_sufficient : Scan.candidate list;
   order_index : Scan.candidate option;
   union_candidates : Scan.candidate list;
-  estimation_nodes : int;
 }
 
 type decision = No_rows of string | Arranged of classified
@@ -67,7 +66,7 @@ let apply_feedback table trace ~feedback_rate ~index ~ranges ~est ~exact =
 (* One bounded candidate per OR disjunct, when every disjunct has a
    usable index (the §7 "covering ORs" extension).  A disjunct whose
    best estimate is exactly zero contributes no rows and is dropped. *)
-let union_candidates table meter trace ~feedback_rate ~restriction ~nodes_spent =
+let union_candidates table meter trace ~feedback_rate ~restriction =
   match Predicate.simplify restriction with
   | Predicate.Or branches when List.length branches <= 8 ->
       let branch_candidate branch =
@@ -85,7 +84,6 @@ let union_candidates table meter trace ~feedback_rate ~restriction ~nodes_spent 
                     (Trace.Fault_detected
                        { site = "estimation"; fault = Fault.describe f })
               | r ->
-              nodes_spent := !nodes_spent + r.Estimate.nodes_visited;
               let est =
                 apply_feedback table trace ~feedback_rate
                   ~index:idx.Table.idx_name ~ranges:extraction.Range_extract.ranges
@@ -135,7 +133,6 @@ let union_candidates table meter trace ~feedback_rate ~restriction ~nodes_spent 
 
 let run table meter trace ~feedback_rate ~restriction ~needed_columns ~order_by =
   let indexes = indexes_in_preferred_order table in
-  let nodes_spent = ref 0 in
   let stop_estimating = ref false in
   let empty_found = ref None in
   let candidates =
@@ -194,7 +191,6 @@ let run table meter trace ~feedback_rate ~restriction ~needed_columns ~order_by 
                     (* The descent succeeded: the quarantined index is
                        readable again. *)
                     note_health table trace (Health.mark_healthy health name);
-                  nodes_spent := !nodes_spent + r.Estimate.nodes_visited;
                   let est =
                     apply_feedback table trace ~feedback_rate ~index:name
                       ~ranges:extraction.Range_extract.ranges
@@ -298,14 +294,8 @@ let run table meter trace ~feedback_rate ~restriction ~needed_columns ~order_by 
       in
       let union_candidates =
         if by_est = [] && self_sufficient = [] then
-          union_candidates table meter trace ~feedback_rate ~restriction ~nodes_spent
+          union_candidates table meter trace ~feedback_rate ~restriction
         else []
       in
       Arranged
-        {
-          jscan_candidates = by_est;
-          self_sufficient;
-          order_index;
-          union_candidates;
-          estimation_nodes = !nodes_spent;
-        }
+        { jscan_candidates = by_est; self_sufficient; order_index; union_candidates }

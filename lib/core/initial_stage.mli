@@ -20,13 +20,15 @@ open Rdb_storage
 
 type classified = {
   jscan_candidates : Scan.candidate list;  (** ascending estimate *)
-  self_sufficient : Scan.candidate list;  (** covering, ascending cost *)
+  self_sufficient : Scan.candidate list;
+      (** covering candidates: the bounded ones by ascending estimate,
+          then the unbounded covering indexes (full-range scans) in
+          catalog order *)
   order_index : Scan.candidate option;  (** best order-providing index *)
   union_candidates : Scan.candidate list;
       (** one bounded candidate per OR disjunct when the whole
           restriction is a covered OR (the §7 union extension); empty
           otherwise.  Exactly-empty disjuncts are dropped. *)
-  estimation_nodes : int;  (** node reads spent estimating *)
 }
 
 type decision =

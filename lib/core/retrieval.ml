@@ -138,17 +138,6 @@ type index_only = {
           probe of the [preempt] that replaces the Sscan *)
 }
 
-type machine =
-  | M_tscan of Tscan.t
-  | M_sscan of Sscan.t
-  | M_fscan of Fscan.t
-  | M_bg_only of Jscan.t
-  | M_fast_first of fast_first
-  | M_sorted of sorted_t
-  | M_index_only of index_only
-  | M_union of Uscan.t
-  | M_empty
-
 type cursor = {
   table : Table.t;
   cfg : config;
@@ -160,10 +149,10 @@ type cursor = {
   compiled : Predicate.compiled;
       (** [restriction], compiled once at open for the per-row tests
           the cursor makes itself (the fast-first borrow) *)
-  mutable machine : machine;  (** mutable: fault fallback swaps in a Tscan *)
   mutable tac : Tactic.t;
-      (** the machine's behavior as a composed tactic (DESIGN.md §17);
-          rebuilt whenever [machine] is swapped *)
+      (** the plan's composed tactic under the cursor's one [distinct]
+          (DESIGN.md §17); the Tscan fallback replaces it, and a
+          settled [then_] phase narrows it to its stage-2 step *)
   fgr_meter : Cost.t;
   bgr_meter : Cost.t;
   est_meter : Cost.t;
@@ -207,159 +196,12 @@ type cursor = {
 let total_cost c = Cost.total3 c.fgr_meter c.bgr_meter c.est_meter
 
 (* ------------------------------------------------------------------ *)
-(* Tactic selection                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let covering_sscan_choice table (classified : Initial_stage.classified) =
-  (* Cheapest self-sufficient scan, compared against Tscan. *)
-  match classified.Initial_stage.self_sufficient with
-  | [] -> None
-  | ss ->
-      let cost c = Cost_model.index_scan_cost c.Scan.idx ~entries:c.Scan.est in
-      let best =
-        List.fold_left (fun acc c -> if cost c < cost acc then c else acc) (List.hd ss) ss
-      in
-      if cost best <= Cost_model.tscan_cost table then Some best else None
-
-let fetch_needed_candidates classified =
-  classified.Initial_stage.jscan_candidates
-
-let decide table goal ~bgr ~order_by ~(classified : Initial_stage.classified) trace =
-  let emit tactic reason =
-    Trace.emit trace (Trace.Tactic_chosen { tactic = tactic_to_string tactic; reason });
-    tactic
-  in
-  let cands = fetch_needed_candidates classified in
-  let best_ss = covering_sscan_choice table classified in
-  let order_idx = classified.Initial_stage.order_index in
-  match (goal, order_by, order_idx) with
-  | Goal.Fast_first, _ :: _, Some oi
-    when not (Table.index_covers oi.Scan.idx ~columns:(Predicate.columns oi.Scan.residual))
-         || best_ss = None ->
-      (* Order-providing fetch-needed index: sorted tactic if any other
-         index can build a filter, else classical Fscan. *)
-      let others =
-        List.filter (fun c -> c.Scan.idx.Table.idx_name <> oi.Scan.idx.Table.idx_name) cands
-      in
-      if others = [] then emit Static_fscan "only the order-needed index is useful"
-      else if not bgr then
-        emit Static_fscan "background refinement disabled (overload degradation)"
-      else emit Sorted_tactic "order-delivering Fscan with filter-delivering Jscan"
-  | _ -> (
-      match (best_ss, cands) with
-      | Some ss, others when List.exists (fun c -> c.Scan.idx.Table.idx_name <> ss.Scan.idx.Table.idx_name) others ->
-          if not bgr then
-            emit Static_sscan "background refinement disabled (overload degradation)"
-          else emit Index_only_tactic "self-sufficient Sscan competes with Jscan"
-      | Some _, _ -> emit Static_sscan "single useful self-sufficient index"
-      | None, [] ->
-          if classified.Initial_stage.union_candidates <> [] then
-            emit Union_tactic "every OR disjunct has a usable index"
-          else emit Static_tscan "no useful index"
-      | None, _ :: _ -> (
-          match goal with
-          | Goal.Total_time -> emit Background_only "total-time with fetch-needed indexes"
-          | Goal.Fast_first -> emit Fast_first_tactic "fast-first with fetch-needed indexes"))
-
-(* ------------------------------------------------------------------ *)
-(* Machine construction                                                *)
-(* ------------------------------------------------------------------ *)
-
-let sscan_candidate_of classified table =
-  match covering_sscan_choice table classified with
-  | Some c -> c
-  | None -> (
-      match classified.Initial_stage.self_sufficient with
-      | c :: _ -> c
-      | [] -> invalid_arg "sscan_candidate_of: no self-sufficient index")
-
-let build_machine cursor_cfg table trace restriction
-    ~(classified : Initial_stage.classified) ~fgr_meter ~bgr_meter tactic =
-  match tactic with
-  | Cancelled -> M_empty
-  | Static_tscan -> M_tscan (Tscan.create table fgr_meter restriction)
-  | Static_sscan ->
-      let cand = sscan_candidate_of classified table in
-      M_sscan (Sscan.create table fgr_meter cand ~restriction)
-  | Static_fscan -> (
-      match classified.Initial_stage.order_index with
-      | Some oi -> M_fscan (Fscan.create table fgr_meter oi ~restriction)
-      | None -> (
-          match classified.Initial_stage.jscan_candidates with
-          | c :: _ -> M_fscan (Fscan.create table fgr_meter c ~restriction)
-          | [] -> M_tscan (Tscan.create table fgr_meter restriction)))
-  | Background_only ->
-      let jscan =
-        Jscan.create table bgr_meter cursor_cfg.jscan trace
-          ~candidates:classified.Initial_stage.jscan_candidates
-      in
-      M_bg_only jscan
-  | Fast_first_tactic ->
-      let jscan =
-        Jscan.create table bgr_meter cursor_cfg.jscan trace
-          ~candidates:classified.Initial_stage.jscan_candidates
-      in
-      M_fast_first { ff_jscan = jscan; ff_active = true; ff_wasted = 0 }
-  | Sorted_tactic -> (
-      match classified.Initial_stage.order_index with
-      | None -> invalid_arg "sorted tactic without order index"
-      | Some oi ->
-          let others =
-            List.filter
-              (fun c -> c.Scan.idx.Table.idx_name <> oi.Scan.idx.Table.idx_name)
-              classified.Initial_stage.jscan_candidates
-          in
-          (* The background Jscan builds a *filter*: it competes
-             against the foreground Fscan's remaining cost (scan plus
-             one fetch per in-range entry), not against a Tscan. *)
-          let fscan_cost =
-            Cost_model.index_scan_cost oi.Scan.idx ~entries:oi.Scan.est
-            +. Cost_model.key_order_fetch_cost table oi.Scan.idx ~entries:oi.Scan.est
-          in
-          let jscan_cfg =
-            {
-              cursor_cfg.jscan with
-              Jscan.filter_only = true;
-              initial_guaranteed_best = Some fscan_cost;
-            }
-          in
-          let jscan = Jscan.create table bgr_meter jscan_cfg trace ~candidates:others in
-          M_sorted
-            {
-              so_fscan = Fscan.create table fgr_meter oi ~restriction;
-              so_jscan = jscan;
-              so_bgr_active = true;
-            })
-  | Union_tactic ->
-      let cfg =
-        {
-          Uscan.switch_ratio = cursor_cfg.jscan.Jscan.switch_ratio;
-          memory_budget = cursor_cfg.jscan.Jscan.memory_budget;
-        }
-      in
-      M_union
-        (Uscan.create table bgr_meter cfg trace
-           ~disjuncts:classified.Initial_stage.union_candidates)
-  | Index_only_tactic ->
-      let cand = sscan_candidate_of classified table in
-      let others =
-        List.filter
-          (fun c -> c.Scan.idx.Table.idx_name <> cand.Scan.idx.Table.idx_name)
-          classified.Initial_stage.jscan_candidates
-      in
-      let jscan = Jscan.create table bgr_meter cursor_cfg.jscan trace ~candidates:others in
-      M_index_only
-        {
-          io_sscan = Sscan.create table fgr_meter cand ~restriction;
-          io_cand = cand;
-          io_jscan = jscan;
-          io_bgr_active = true;
-          io_stage2 = None;
-        }
-
-(* ------------------------------------------------------------------ *)
 (* Stepping                                                            *)
 (* ------------------------------------------------------------------ *)
+
+let tscan_step table meter restriction : Tactic.t =
+  let t = Tscan.create table meter restriction in
+  fun () -> Tscan.step t
 
 (* The stage a settled background outcome leads to, as a step tactic.
    The final stage skips delivered RIDs before fetching them — the
@@ -383,9 +225,7 @@ let stage2_step c outcome : Tactic.t =
         let s = Final_stage.step fs in
         Final_stage.drop_cache fs;
         s
-  | Jscan.Recommend_tscan _ ->
-      let t = Tscan.create c.table c.bgr_meter c.restriction in
-      fun () -> Tscan.step t
+  | Jscan.Recommend_tscan _ -> tscan_step c.table c.bgr_meter c.restriction
 
 let fgr_cost c = Cost.total c.fgr_meter
 let bgr_cost c = Cost.total c.bgr_meter
@@ -402,10 +242,10 @@ let bg_failed c quarantine f =
 
 (* Successor thunk for [Tactic.then_]: build the final stage from the
    settled background outcome (the [Final_stage] trace event fires
-   here, in the switch quantum, exactly as the bespoke machines
-   emitted it).  The settled phase then leaves the tactic: from the
-   next quantum on the cursor steps [distinct] over the stage itself,
-   as [then_] would have, without passing through it. *)
+   here, in the switch quantum).  The settled phase then leaves the
+   tactic: from the next quantum on the cursor steps [distinct] over
+   the stage itself, as [then_] would have, without passing through
+   it. *)
 let stage2_successor c outcome =
   let step2 = stage2_step c outcome in
   c.tac <- Tactic.distinct c.delivered_rids step2;
@@ -542,66 +382,224 @@ let index_only_fg c io =
       s
   | s -> s
 
-(* The machine's behavior, assembled from Tactic combinators
+(* ------------------------------------------------------------------ *)
+(* Planning                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A retrieval's one planning decision (§4, §7): the tactic chosen from
+   the initial stage's candidates, whether it delivers in the requested
+   order, and its behavior assembled from Tactic combinators
    (DESIGN.md §17).  Each arm above is a one-quantum closure over the
    tactic's state; phase sequencing ([then_]: the background settles,
    then the final stage), cost competition ([race]: the §3
    foreground/background switch), and mid-flight takeover ([preempt]:
    index-only's sure list replacing the Sscan) belong to the
-   combinators — no bespoke multi-phase step dispatch remains.  One
-   [distinct] over the whole composition is the cursor's delivered-RID
-   set.  Rebuilt whenever the machine is swapped (Tscan fallback), and
-   narrowed to the stage-2 step once a [then_] phase settles.  A stage
-   holding a page-handle cache drops it at the end of its own step. *)
-let tactic_of c =
-  Tactic.distinct c.delivered_rids
-    (match c.machine with
-    | M_empty -> Tactic.halt
-    | M_tscan t -> fun () -> Tscan.step t
-    | M_sscan s -> fun () -> Sscan.step s
-    | M_fscan f ->
-        fun () ->
-          let s = Fscan.step f in
-          Fscan.drop_cache f;
-          s
-    | M_bg_only jscan ->
-        Tactic.then_
-          (fun () ->
-            match Jscan.step jscan with
-            | `Working -> Scan.Continue
-            | `Faulted f -> bg_failed c (Jscan.quarantine jscan) f
-            | `Finished _ -> Scan.Done)
-          (fun () -> stage2_successor c (Option.get (Jscan.outcome jscan)))
-    | M_union us ->
-        Tactic.then_
-          (fun () ->
-            match Uscan.step us with
-            | `Working -> Scan.Continue
-            | `Faulted f -> bg_failed c (Uscan.abandon us) f
-            | `Finished _ -> Scan.Done)
-          (fun () ->
-            stage2_successor c
-              (match Option.get (Uscan.outcome us) with
-              | Uscan.Rid_list rids -> Jscan.Rid_list rids
-              | Uscan.Recommend_tscan r -> Jscan.Recommend_tscan r))
-    | M_fast_first ff ->
-        Tactic.then_
-          (fun () -> fast_first_phase1 c ff)
-          (fun () -> stage2_successor c (Option.get (Jscan.outcome ff.ff_jscan)))
-    | M_sorted so ->
-        Tactic.race
-          ~choose:(fun () ->
-            if so.so_bgr_active && not (prefer_fgr c) then `Right else `Left)
-          ~left:(fun () -> sorted_fg c so)
-          ~right:(fun () -> sorted_bg c so)
-    | M_index_only io ->
-        Tactic.preempt
-          (fun () -> io.io_stage2)
-          (Tactic.race
-             ~choose:(fun () ->
-               if io.io_bgr_active && not (prefer_fgr c) then `Right else `Left)
-             ~left:(fun () -> index_only_fg c io)
-             ~right:(fun () -> index_only_bg c io)))
+   combinators.  The arms read and write the cursor, so the
+   composition is a function of it; [open_] puts it under the cursor's
+   one [distinct].  A stage holding a page-handle cache drops it at
+   the end of its own step. *)
+type plan = { kind : tactic_kind; ordered : bool; compose : cursor -> Tactic.t }
+
+let cancelled = { kind = Cancelled; ordered = false; compose = (fun _ -> Tactic.halt) }
+
+let tscan_plan table meter restriction =
+  let step = tscan_step table meter restriction in
+  { kind = Static_tscan; ordered = false; compose = (fun _ -> step) }
+
+let chosen trace tactic reason =
+  Trace.emit trace (Trace.Tactic_chosen { tactic = tactic_to_string tactic; reason })
+
+let others_than cand cands =
+  List.filter (fun c -> c.Scan.idx.Table.idx_name <> cand.Scan.idx.Table.idx_name) cands
+
+let provides cand order_by = Table.index_provides_order cand.Scan.idx ~order:order_by
+
+(* Cheapest self-sufficient scan, compared against Tscan. *)
+let covering_sscan_choice table (classified : Initial_stage.classified) =
+  match classified.Initial_stage.self_sufficient with
+  | [] -> None
+  | ss ->
+      let cost c = Cost_model.index_scan_cost c.Scan.idx ~entries:c.Scan.est in
+      let best =
+        List.fold_left (fun acc c -> if cost c < cost acc then c else acc) (List.hd ss) ss
+      in
+      if cost best <= Cost_model.tscan_cost table then Some best else None
+
+(* A static Fscan or Sscan delivers in order iff the index it scans
+   provides the order. *)
+let fscan_plan trace table meter restriction ~order_by oi reason =
+  chosen trace Static_fscan reason;
+  let f = Fscan.create table meter oi ~restriction in
+  let step () =
+    let s = Fscan.step f in
+    Fscan.drop_cache f;
+    s
+  in
+  { kind = Static_fscan; ordered = provides oi order_by; compose = (fun _ -> step) }
+
+let sscan_plan trace table meter restriction ~order_by ss reason =
+  chosen trace Static_sscan reason;
+  let s = Sscan.create table meter ss ~restriction in
+  let step () = Sscan.step s in
+  { kind = Static_sscan; ordered = provides ss order_by; compose = (fun _ -> step) }
+
+(* Choose the tactic, announce it, and build its scans.  The scan
+   constructors charge and emit nothing (B-tree multi-cursors and the
+   heap cursor are lazy); the sorted tactic's clustering probe charges
+   and can fault, after its [Tactic_chosen]. *)
+let plan cfg table trace restriction goal ~order_by ~fgr_meter ~bgr_meter
+    (classified : Initial_stage.classified) =
+  let cands = classified.Initial_stage.jscan_candidates in
+  let best_ss = covering_sscan_choice table classified in
+  match (goal, order_by, classified.Initial_stage.order_index) with
+  | Goal.Fast_first, _ :: _, Some oi
+    when not (Table.index_covers oi.Scan.idx ~columns:(Predicate.columns oi.Scan.residual))
+         || best_ss = None ->
+      (* Order-providing fetch-needed index: sorted tactic if any other
+         index can build a filter, else classical Fscan. *)
+      let others = others_than oi cands in
+      if others = [] then
+        fscan_plan trace table fgr_meter restriction ~order_by oi
+          "only the order-needed index is useful"
+      else if not cfg.bgr_enabled then
+        fscan_plan trace table fgr_meter restriction ~order_by oi
+          "background refinement disabled (overload degradation)"
+      else begin
+        chosen trace Sorted_tactic "order-delivering Fscan with filter-delivering Jscan";
+        (* The background Jscan builds a *filter*: it competes against
+           the foreground Fscan's remaining cost (scan plus one fetch
+           per in-range entry), not against a Tscan. *)
+        let fscan_cost =
+          Cost_model.index_scan_cost oi.Scan.idx ~entries:oi.Scan.est
+          +. Cost_model.key_order_fetch_cost table oi.Scan.idx ~entries:oi.Scan.est
+        in
+        let jscan =
+          Jscan.create table bgr_meter
+            { cfg.jscan with Jscan.filter_against = Some fscan_cost }
+            trace ~candidates:others
+        in
+        let so =
+          {
+            so_fscan = Fscan.create table fgr_meter oi ~restriction;
+            so_jscan = jscan;
+            so_bgr_active = true;
+          }
+        in
+        {
+          kind = Sorted_tactic;
+          ordered = provides oi order_by;
+          compose =
+            (fun c ->
+              Tactic.race
+                ~choose:(fun () ->
+                  if so.so_bgr_active && not (prefer_fgr c) then `Right else `Left)
+                ~left:(fun () -> sorted_fg c so)
+                ~right:(fun () -> sorted_bg c so));
+        }
+      end
+  | _ -> (
+      match (best_ss, cands) with
+      | Some ss, _ -> (
+          match others_than ss cands with
+          | [] ->
+              sscan_plan trace table fgr_meter restriction ~order_by ss
+                "single useful self-sufficient index"
+          | _ :: _ when not cfg.bgr_enabled ->
+              sscan_plan trace table fgr_meter restriction ~order_by ss
+                "background refinement disabled (overload degradation)"
+          | others ->
+              chosen trace Index_only_tactic "self-sufficient Sscan competes with Jscan";
+              let jscan =
+                Jscan.create table bgr_meter cfg.jscan trace ~candidates:others
+              in
+              let io =
+                {
+                  io_sscan = Sscan.create table fgr_meter ss ~restriction;
+                  io_cand = ss;
+                  io_jscan = jscan;
+                  io_bgr_active = true;
+                  io_stage2 = None;
+                }
+              in
+              {
+                kind = Index_only_tactic;
+                ordered = false;
+                compose =
+                  (fun c ->
+                    Tactic.preempt
+                      (fun () -> io.io_stage2)
+                      (Tactic.race
+                         ~choose:(fun () ->
+                           if io.io_bgr_active && not (prefer_fgr c) then `Right
+                           else `Left)
+                         ~left:(fun () -> index_only_fg c io)
+                         ~right:(fun () -> index_only_bg c io)));
+              })
+      | None, [] ->
+          if classified.Initial_stage.union_candidates <> [] then begin
+            chosen trace Union_tactic "every OR disjunct has a usable index";
+            let us =
+              Uscan.create table bgr_meter cfg.jscan trace
+                ~disjuncts:classified.Initial_stage.union_candidates
+            in
+            {
+              kind = Union_tactic;
+              ordered = false;
+              compose =
+                (fun c ->
+                  Tactic.then_
+                    (fun () ->
+                      match Uscan.step us with
+                      | `Working -> Scan.Continue
+                      | `Faulted f -> bg_failed c (Uscan.abandon us) f
+                      | `Finished _ -> Scan.Done)
+                    (fun () -> stage2_successor c (Option.get (Uscan.outcome us))));
+            }
+          end
+          else begin
+            chosen trace Static_tscan "no useful index";
+            tscan_plan table fgr_meter restriction
+          end
+      | None, _ :: _ -> (
+          match goal with
+          | Goal.Total_time ->
+              chosen trace Background_only "total-time with fetch-needed indexes";
+              let jscan =
+                Jscan.create table bgr_meter cfg.jscan trace ~candidates:cands
+              in
+              {
+                kind = Background_only;
+                ordered = false;
+                compose =
+                  (fun c ->
+                    Tactic.then_
+                      (fun () ->
+                        match Jscan.step jscan with
+                        | `Working -> Scan.Continue
+                        | `Faulted f -> bg_failed c (Jscan.quarantine jscan) f
+                        | `Finished _ -> Scan.Done)
+                      (fun () -> stage2_successor c (Option.get (Jscan.outcome jscan))));
+              }
+          | Goal.Fast_first ->
+              chosen trace Fast_first_tactic "fast-first with fetch-needed indexes";
+              let ff =
+                {
+                  ff_jscan =
+                    Jscan.create table bgr_meter cfg.jscan trace ~candidates:cands;
+                  ff_active = true;
+                  ff_wasted = 0;
+                }
+              in
+              {
+                kind = Fast_first_tactic;
+                ordered = false;
+                compose =
+                  (fun c ->
+                    Tactic.then_
+                      (fun () -> fast_first_phase1 c ff)
+                      (fun () ->
+                        stage2_successor c (Option.get (Jscan.outcome ff.ff_jscan))));
+              }))
 
 (* ------------------------------------------------------------------ *)
 (* Cursor API                                                          *)
@@ -648,8 +646,8 @@ let open_ ?(config = default_config) table (req : request) =
     Goal.resolve ?explicit:req.explicit_goal ?context:req.context
       ~default:Goal.Total_time ()
   in
-  let tactic, machine, classified_order, feedback_pending =
-    if restriction = Predicate.False then (Cancelled, M_empty, false, [])
+  let p, feedback_pending =
+    if restriction = Predicate.False then (cancelled, [])
     else begin
       match
         match
@@ -658,28 +656,11 @@ let open_ ?(config = default_config) table (req : request) =
             ~needed_columns:(needed_columns table req restriction)
             ~order_by:req.order_by
         with
-        | Initial_stage.No_rows _ -> (Cancelled, M_empty, false, [])
+        | Initial_stage.No_rows _ -> (cancelled, [])
         | Initial_stage.Arranged classified ->
-            let tactic =
-              decide table goal ~bgr:config.bgr_enabled ~order_by:req.order_by
-                ~classified trace
-            in
-            let machine =
-              build_machine config table trace restriction ~classified ~fgr_meter
-                ~bgr_meter tactic
-            in
-            let ordered_delivery =
-              match tactic with
-              | Sorted_tactic | Static_fscan -> (
-                  (* Ordered iff driven by an order-providing index. *)
-                  match classified.Initial_stage.order_index with
-                  | Some oi -> Table.index_provides_order oi.Scan.idx ~order:req.order_by
-                  | None -> false)
-              | Static_sscan -> (
-                  match classified.Initial_stage.self_sufficient with
-                  | c :: _ -> Table.index_provides_order c.Scan.idx ~order:req.order_by
-                  | [] -> false)
-              | _ -> false
+            let p =
+              plan config table trace restriction goal ~order_by:req.order_by ~fgr_meter
+                ~bgr_meter classified
             in
             (* Candidates a completed scan can later teach from: the
                inexact ones (exact estimates have nothing to learn). *)
@@ -691,7 +672,7 @@ let open_ ?(config = default_config) table (req : request) =
                   @ classified.Initial_stage.union_candidates)
               else []
             in
-            (tactic, machine, ordered_delivery, pending)
+            (p, pending)
       with
       | exception Fault.Injected f ->
           (* Planning faulted (estimation descent, clustering probe).
@@ -701,27 +682,24 @@ let open_ ?(config = default_config) table (req : request) =
             (Trace.Fault_detected { site = "planning"; fault = Fault.describe f });
           Trace.emit trace
             (Trace.Fallback_tscan { reason = "fault during planning" });
-          Trace.emit trace
-            (Trace.Tactic_chosen
-               { tactic = tactic_to_string Static_tscan; reason = "fault during planning" });
-          (Static_tscan, M_tscan (Tscan.create table fgr_meter restriction), false, [])
+          chosen trace Static_tscan "fault during planning";
+          (tscan_plan table fgr_meter restriction, [])
       | planned -> planned
     end
   in
   Trace.emit trace (Trace.Span_end { span = "plan"; cost = Cost.total est_meter; rows = 0 });
   Trace.emit trace (Trace.Span_begin { span = "execute" });
-  let needs_sort = req.order_by <> [] && not classified_order in
+  let needs_sort = req.order_by <> [] && not p.ordered in
   let c =
     {
       table;
       cfg = config;
       trace;
-      tactic;
+      tactic = p.kind;
       goal;
       goal_provenance;
       restriction;
       compiled;
-      machine;
       tac = Tactic.halt;
       fgr_meter;
       bgr_meter;
@@ -730,7 +708,7 @@ let open_ ?(config = default_config) table (req : request) =
       sorted_rows = None;
       presort = [];
       needs_sort;
-      ordered_by_index = classified_order;
+      ordered_by_index = p.ordered;
       feedback_pending;
       delivered_rids = Rid_set.create ();
       driver = None;
@@ -744,7 +722,7 @@ let open_ ?(config = default_config) table (req : request) =
       summary = None;
     }
   in
-  c.tac <- tactic_of c;
+  c.tac <- Tactic.distinct c.delivered_rids (p.compose c);
   c
 
 (* ------------------------------------------------------------------ *)
@@ -775,15 +753,14 @@ let abort_query c f =
   c.aborted <- Some (Fault.describe f)
 
 (* A foreground index path died: swap in the guaranteed-safe Tscan,
-   skipping rows already delivered (the rebuilt tactic keeps the
-   cursor's one [distinct] set).  If delivery order came from the
-   index, the already-delivered prefix holds the lowest keys, so
-   sorting the remainder keeps the whole stream ordered. *)
+   skipping rows already delivered (it runs under the cursor's one
+   [distinct] set).  If delivery order came from the index, the
+   already-delivered prefix holds the lowest keys, so sorting the
+   remainder keeps the whole stream ordered. *)
 let fallback_tscan c f =
   Trace.emit c.trace (Trace.Fallback_tscan { reason = Fault.describe f });
   if c.ordered_by_index then c.needs_sort <- true;
-  c.machine <- M_tscan (Tscan.create c.table c.fgr_meter c.restriction);
-  c.tac <- tactic_of c
+  c.tac <- Tactic.distinct c.delivered_rids (tscan_step c.table c.fgr_meter c.restriction)
 
 (* Retrieval's degradation ladder as a Tactic.Policy stack, one rung
    per recourse, tried in order (DESIGN.md §17).  The driver owns
@@ -837,7 +814,7 @@ let fallback_rung c =
 
 (* Which rungs arm for which tactic: background-bearing tactics can
    quarantine the faulted competitor; foreground index paths can fall
-   back to Tscan; a Tscan (and the empty machine) only ever touches
+   back to Tscan; a Tscan (and the cancelled plan) only ever touches
    the heap, whose sole recourse past retrying is the structured
    abort.  The armed stack and EXPLAIN's description both read this
    one list. *)
@@ -969,12 +946,6 @@ let advance c =
 
 (* One quantum of the stream API; [Done] also once closed or timed out. *)
 let step c = if c.closed || past_deadline c then Scan.Done else advance c
-
-let rec fetch_pair c =
-  match step c with
-  | Scan.Deliver (rid, row) -> Some (rid, row)
-  | Scan.Continue | Scan.Failed _ -> fetch_pair c
-  | Scan.Done -> None
 
 let rec fetch c =
   match step c with

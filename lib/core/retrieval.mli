@@ -155,10 +155,6 @@ val fetch : cursor -> Row.t option
 (** Next qualifying row; [None] when exhausted.  Rows arrive in
     requested order if [order_by] was given. *)
 
-val fetch_pair : cursor -> (Rid.t * Row.t) option
-(** Like {!fetch} but exposing the record's RID (DELETE/UPDATE drive
-    this). *)
-
 val drain_pairs : cursor -> (Rid.t * Row.t) list
 (** Pump the cursor to exhaustion and return every remaining
     qualifying row in delivery order (the SQL executor's materializing

@@ -12,8 +12,7 @@ type config = {
   memory_budget : int;
   simultaneous : bool;
   dynamic : bool;
-  filter_only : bool;
-  initial_guaranteed_best : float option;
+  filter_against : float option;
 }
 
 let default_config =
@@ -24,8 +23,7 @@ let default_config =
     memory_budget = 4096;
     simultaneous = false;
     dynamic = true;
-    filter_only = false;
-    initial_guaranteed_best = None;
+    filter_against = None;
   }
 
 type outcome = Rid_list of Rid.t array | Recommend_tscan of string
@@ -70,7 +68,7 @@ and t = {
 
 let create table meter cfg trace ~candidates =
   let tscan_cost =
-    match cfg.initial_guaranteed_best with
+    match cfg.filter_against with
     | Some g -> g
     | None -> Cost_model.tscan_cost table
   in
@@ -145,7 +143,7 @@ let decide_final t =
   | None -> finish t (Recommend_tscan "no index produced a competitive RID list")
   | Some list ->
       let fetch = retrieval_cost t t.completed_count (Some list) in
-      if t.cfg.filter_only || fetch <= t.tscan_cost then
+      if Option.is_some t.cfg.filter_against || fetch <= t.tscan_cost then
         finish t (Rid_list (Rid_list.to_sorted_array list))
       else
         finish t

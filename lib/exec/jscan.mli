@@ -37,16 +37,14 @@ type config = {
   simultaneous : bool;  (** enable adjacent-index simultaneous scans *)
   dynamic : bool;  (** false disables mid-scan competition entirely
                        (the statically-controlled baseline [MoHa90]) *)
-  filter_only : bool;
-      (** the Jscan output is used purely as a filter (sorted tactic):
-          any completed list is delivered, never a Tscan
+  filter_against : float option;
+      (** the Jscan's role.  [None] (the default): its output drives
+          the retrieval, so its initial guaranteed best g is the
+          table's Tscan cost and a list dearer than that becomes a
+          Tscan recommendation.  [Some g]: it builds a filter for a
+          foreground costing [g] (§7 sorted tactic), competes against
+          that, and delivers any completed list, never a Tscan
           recommendation *)
-  initial_guaranteed_best : float option;
-      (** override for the initial guaranteed-best cost g.  The
-          default (None) is the table's Tscan cost — correct when the
-          Jscan output drives the retrieval itself; a filter-building
-          Jscan competes against the foreground Fscan's remaining cost
-          instead (§7 sorted tactic) *)
 }
 
 val default_config : config

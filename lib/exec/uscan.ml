@@ -4,11 +4,7 @@ open Rdb_engine
 open Rdb_rid
 open Rdb_storage
 
-type outcome = Rid_list of Rid.t array | Recommend_tscan of string
-
-type config = { switch_ratio : float; memory_budget : int }
-
-let default_config = { switch_ratio = 0.95; memory_budget = 4096 }
+type outcome = Jscan.outcome = Rid_list of Rid.t array | Recommend_tscan of string
 
 (* Scanned entries between two abandonment checks. *)
 let check_every = 32
@@ -24,7 +20,7 @@ type scan_state = {
 type t = {
   table : Table.t;
   meter : Cost.t;
-  cfg : config;
+  switch_ratio : float;
   trace : Trace.t;
   mutable queue : Scan.candidate list;
   mutable current : scan_state option;
@@ -38,11 +34,12 @@ let create table meter cfg trace ~disjuncts =
   {
     table;
     meter;
-    cfg;
+    switch_ratio = cfg.Jscan.switch_ratio;
     trace;
     queue = disjuncts;
     current = None;
-    union = Rid_list.create ~memory_budget:cfg.memory_budget (Table.pool table) meter;
+    union =
+      Rid_list.create ~memory_budget:cfg.Jscan.memory_budget (Table.pool table) meter;
     accepted = 0;
     tscan_cost = Cost_model.tscan_cost table;
     finished = None;
@@ -78,7 +75,7 @@ let check t st =
   let certain_cost =
     Cost_model.rid_fetch_cost t.table ~k:t.accepted +. remaining_known
   in
-  if certain_cost >= t.cfg.switch_ratio *. t.tscan_cost then
+  if certain_cost >= t.switch_ratio *. t.tscan_cost then
     Some
       (Printf.sprintf "accepted union already costs %.1f vs Tscan %.1f" certain_cost
          t.tscan_cost)
@@ -99,7 +96,7 @@ let check t st =
       Cost_model.rid_fetch_cost t.table ~k:(int_of_float (ceil projected_union))
       +. remaining_known
     in
-    if projected_cost >= t.cfg.switch_ratio *. t.tscan_cost then
+    if projected_cost >= t.switch_ratio *. t.tscan_cost then
       Some
         (Printf.sprintf "projected union retrieval %.1f approaches Tscan %.1f"
            projected_cost t.tscan_cost)

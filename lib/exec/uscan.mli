@@ -17,25 +17,20 @@ open Rdb_data
 open Rdb_engine
 open Rdb_storage
 
-type outcome =
+type outcome = Jscan.outcome =
   | Rid_list of Rid.t array  (** sorted, deduplicated union *)
   | Recommend_tscan of string
-
-type config = {
-  switch_ratio : float;  (** abandon threshold vs guaranteed best (0.95) *)
-  memory_budget : int;
-}
-(** The abandonment check runs every 32 scanned entries of a scan. *)
-
-val default_config : config
 
 type t
 
 val create :
-  Table.t -> Cost.t -> config -> Trace.t -> disjuncts:Scan.candidate list -> t
+  Table.t -> Cost.t -> Jscan.config -> Trace.t -> disjuncts:Scan.candidate list -> t
 (** One candidate per OR disjunct; each candidate's [residual] is the
     part of its own disjunct the range does not guarantee (evaluated
-    with [eval_maybe] during the scan). *)
+    with [eval_maybe] during the scan).  The union reads the Jscan
+    knobs it shares: [switch_ratio], its abandon threshold against the
+    guaranteed best, and [memory_budget].  The abandonment check runs
+    every 32 scanned entries of a scan. *)
 
 val step : t -> [ `Working | `Finished of outcome | `Faulted of Fault.failure ]
 (** [`Faulted] leaves positions unchanged: step again to retry a

@@ -308,7 +308,7 @@ let test_goal_affects_first_row_cost () =
 
 (* --- tactics & flow ---------------------------------------------------------------- *)
 
-let tactic_of table ?explicit_goal ?order_by ?projection pred =
+let tactic_for table ?explicit_goal ?order_by ?projection pred =
   let _, s = R.run table (R.request ?explicit_goal ?order_by ?projection pred) in
   s.R.tactic
 
@@ -316,16 +316,16 @@ let test_tactic_selection () =
   let table = fixture () in
   let open Predicate in
   (* No index on S: Tscan. *)
-  check "tscan" true (tactic_of table ("S" =% Value.str "zzz") = R.Static_tscan);
+  check "tscan" true (tactic_for table ("S" =% Value.str "zzz") = R.Static_tscan);
   (* Covering index, projection within it: index-only or static sscan. *)
-  let t = tactic_of table ~projection:[ "X"; "Y" ] (And [ "X" =% Value.int 5; "Y" <% Value.int 100 ]) in
+  let t = tactic_for table ~projection:[ "X"; "Y" ] (And [ "X" =% Value.int 5; "Y" <% Value.int 100 ]) in
   check "uses self-sufficient index" true (t = R.Index_only_tactic || t = R.Static_sscan);
   (* Fetch-needed only, total-time: background-only. *)
   check "bg-only" true
-    (tactic_of table ~explicit_goal:Goal.Total_time ("X" =% Value.int 5) = R.Background_only);
+    (tactic_for table ~explicit_goal:Goal.Total_time ("X" =% Value.int 5) = R.Background_only);
   (* Fetch-needed only, fast-first: fast-first tactic. *)
   check "fast-first" true
-    (tactic_of table ~explicit_goal:Goal.Fast_first ("X" =% Value.int 5) = R.Fast_first_tactic)
+    (tactic_for table ~explicit_goal:Goal.Fast_first ("X" =% Value.int 5) = R.Fast_first_tactic)
 
 let test_sorted_tactic_used_and_ordered () =
   let table = fixture () in
@@ -409,14 +409,11 @@ let test_union_tactic_with_in_list () =
   check "union tactic over IN" true (s.R.tactic = R.Union_tactic);
   check "rows correct" true (sort_rows rows = sort_rows (oracle table pred))
 
-let test_fetch_pair_exposes_rids () =
+let test_drain_pairs_exposes_rids () =
   let table = fixture () in
   let open Predicate in
   let c = R.open_ table (R.request ("X" =% Value.int 4)) in
-  let rec drain acc =
-    match R.fetch_pair c with Some p -> drain (p :: acc) | None -> List.rev acc
-  in
-  let pairs = drain [] in
+  let pairs = R.drain_pairs c in
   ignore (R.close c);
   check "has rows" true (pairs <> []);
   let m = Rdb_storage.Cost.create () in
@@ -426,6 +423,47 @@ let test_fetch_pair_exposes_rids () =
       | Some stored -> check "rid points at the delivered row" true (Row.equal stored row)
       | None -> Alcotest.fail "dangling rid")
     pairs
+
+(* A static Sscan delivers in order only when its own index provides
+   the order.  IB (B, A) heads the covering candidates, but IA (A, B)
+   is the cheaper scan, so the Sscan runs over IA and the rows must be
+   sorted by B after it: under the default config (the single useful
+   Sscan) and with background refinement off (the scheduler's pressure
+   rung, which degrades index-only to its Sscan). *)
+let test_sscan_order_follows_its_index () =
+  let pool = Rdb_storage.Buffer_pool.create ~capacity:1024 () in
+  let table =
+    Table.create pool ~name:"T"
+      (Schema.make
+         [
+           Schema.col "A" Value.T_int;
+           Schema.col "B" Value.T_int;
+           Schema.col "PAD" Value.T_str;
+         ])
+  in
+  let rng = Rdb_util.Prng.create ~seed:1 in
+  let pad = Value.str (String.make 200 'p') in
+  for b = 0 to 1999 do
+    let a = Value.int (Rdb_util.Prng.int rng 2000) in
+    ignore (Table.insert table [| a; Value.int b; pad |])
+  done;
+  ignore (Table.create_index table ~name:"IB" ~columns:[ "B"; "A" ] ());
+  ignore (Table.create_index table ~name:"IA" ~columns:[ "A"; "B" ] ());
+  let ab rows = List.sort compare (List.map (fun r -> (Row.get r 0, Row.get r 1)) rows) in
+  let ordered_by_b label config pred =
+    let rows, s =
+      R.run ~config table (R.request ~order_by:[ "B" ] ~projection:[ "A"; "B" ] pred)
+    in
+    check (label ^ ": static Sscan") true (s.R.tactic = R.Static_sscan);
+    let bs = List.map (fun r -> Row.get r 1) rows in
+    check (label ^ ": sorted by B") true (bs = List.sort compare bs);
+    check (label ^ ": oracle rows") true (ab rows = ab (oracle table pred))
+  in
+  let open Predicate in
+  ordered_by_b "default" R.default_config True;
+  ordered_by_b "bgr off"
+    { R.default_config with R.bgr_enabled = false }
+    (And [ "A" <% Value.int 200; "B" <% Value.int 190 ])
 
 (* Competition thresholds steer *cost*, never *results*: any
    configuration must return the oracle's rows. *)
@@ -698,7 +736,9 @@ let () =
           Alcotest.test_case "no fgr/bgr duplicates" `Quick test_no_duplicate_rows_from_fgr_bgr;
           Alcotest.test_case "union tactic" `Quick test_union_tactic_selected_and_correct;
           Alcotest.test_case "union over IN-list" `Quick test_union_tactic_with_in_list;
-          Alcotest.test_case "fetch_pair rids" `Quick test_fetch_pair_exposes_rids;
+          Alcotest.test_case "drain_pairs rids" `Quick test_drain_pairs_exposes_rids;
+          Alcotest.test_case "sscan order follows its index" `Quick
+            test_sscan_order_follows_its_index;
           Alcotest.test_case "tactic matrix (goal x order x indexes)" `Quick
             test_tactic_matrix;
           QCheck_alcotest.to_alcotest prop_config_never_changes_results;

@@ -424,7 +424,7 @@ let run_uscan f branch_specs =
   let m = Rdb_storage.Cost.create () in
   let trace = Trace.create () in
   let disjuncts = List.map (fun (n, p) -> candidate_for f n p) branch_specs in
-  let u = Uscan.create f.table m Uscan.default_config trace ~disjuncts in
+  let u = Uscan.create f.table m Jscan.default_config trace ~disjuncts in
   (Uscan.run u, trace)
 
 let uscan_rows f pred outcome =
@@ -485,12 +485,12 @@ let test_uscan_empty_union () =
 
 (* --- jscan config knobs ------------------------------------------------- *)
 
-let test_jscan_filter_only_never_recommends_tscan () =
+let test_jscan_filter_never_recommends_tscan () =
   let f = fixture () in
   let open Predicate in
   let pred = "X" >=% Value.int 1 in
   (* 99% of the table *)
-  let cfg = { Jscan.default_config with filter_only = true; initial_guaranteed_best = Some 1e9 } in
+  let cfg = { Jscan.default_config with filter_against = Some 1e9 } in
   let outcome, _, _, _ = run_jscan ~cfg f pred [ "X_IDX" ] in
   match outcome with
   | Jscan.Rid_list rids -> check "huge filter list delivered" true (Array.length rids > 2000)
@@ -500,8 +500,9 @@ let test_jscan_guaranteed_best_override_changes_decisions () =
   let f = fixture () in
   let open Predicate in
   let pred = "X" <% Value.int 50 in
-  (* With a tiny guaranteed best every scan is immediately hopeless. *)
-  let cfg = { Jscan.default_config with initial_guaranteed_best = Some 0.5 } in
+  (* With a tiny guaranteed best every scan is immediately hopeless:
+     no list completes, so even a filter has nothing to deliver. *)
+  let cfg = { Jscan.default_config with filter_against = Some 0.5 } in
   let outcome, _, trace, _ = run_jscan ~cfg f pred [ "X_IDX" ] in
   (match outcome with
   | Jscan.Recommend_tscan _ -> ()
@@ -660,7 +661,7 @@ let () =
       ( "jscan_config",
         [
           Alcotest.test_case "filter-only delivers list" `Quick
-            test_jscan_filter_only_never_recommends_tscan;
+            test_jscan_filter_never_recommends_tscan;
           Alcotest.test_case "guaranteed-best override" `Quick
             test_jscan_guaranteed_best_override_changes_decisions;
         ] );

@@ -303,7 +303,30 @@ let test_exec_order_limit_distinct () =
   check "distinct sorted" true
     (rows = List.init 10 (fun i -> [ Value.Int i ]));
   let limited = rows_of db "SELECT DISTINCT A FROM T WHERE A < 10 ORDER BY A LIMIT 3" in
-  check_int "limit applies after distinct" 3 (List.length limited)
+  check_int "limit applies after distinct" 3 (List.length limited);
+  (* ORDER BY follows the index the scan runs on: IB (B, A) heads the
+     covering indexes, but the cheaper IA (A, B) is the one scanned. *)
+  let db = Rdb_engine.Database.create ~pool_capacity:512 () in
+  let rng = Rdb_util.Prng.create ~seed:1 in
+  let pad = String.make 200 'p' in
+  let rows =
+    List.init 1000 (fun b ->
+        Printf.sprintf "(%d, %d, '%s')" (Rdb_util.Prng.int rng 1000) b pad)
+  in
+  List.iter
+    (fun sql -> ignore (Executor.execute_sql db sql))
+    [
+      "CREATE TABLE T (A INT, B INT, PAD STRING)";
+      Printf.sprintf "INSERT INTO T VALUES %s" (String.concat ", " rows);
+      "CREATE INDEX IB ON T (B, A)";
+      "CREATE INDEX IA ON T (A, B)";
+    ];
+  let bs =
+    List.map
+      (function [ _; Value.Int b ] -> b | _ -> -1)
+      (rows_of db "SELECT A, B FROM T ORDER BY B")
+  in
+  check "order by B follows the scanned index" true (bs = List.init 1000 Fun.id)
 
 (* DISTINCT keeps the first of each duplicate in delivered order, so an
    ORDER BY survives it and a LIMIT after it keeps the leading rows —
